@@ -46,8 +46,8 @@ def main() -> None:
     }
 
     print(f"== Replaying {args.days} days x {args.cohort} users through 3 policy sets ==")
-    # one shared pool serves every day's cohort generation (the legacy
-    # parallel=True kwarg is deprecated in favour of backend=)
+    # --parallel: one process pool, owned here, serves every day's
+    # cohort generation; the replay only borrows it
     backend = repro.ProcessBackend() if args.parallel else None
     replay = repro.PolicyReplay(
         repro.Platform(dataset="criteo", random_state=args.seed),

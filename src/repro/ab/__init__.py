@@ -23,10 +23,10 @@ cohort), so ``ABTest.run(n_days, cohort_size=1_000_000)`` runs in
 seconds without materialising multi-``n`` oversample pools.  Chunked
 generation optionally fans out across an
 :class:`~repro.runtime.ExecutionBackend`: ``backend=`` on
-:class:`Platform`, :class:`ABTest`, and :class:`PolicyReplay` shares
-one lazily-started pool across every day of a run (the legacy
-``parallel=`` / ``n_workers=`` spelling gets a run-scoped pool), with
-bit-identical output either way.
+:class:`Platform`, :class:`ABTest`, and :class:`PolicyReplay` is the
+one way to say where it runs.  A caller-owned pool is shared by every
+day of a run and never shut down by the harness; the output is
+bit-identical to the serial draw.
 
 Cross-policy comparison: :class:`PolicyReplay` scores several policy
 sets against *identical* traffic — one cohort, one arm partition, and

@@ -22,54 +22,16 @@ the strict budget boundary (``spend <= budget`` always).
 
 from __future__ import annotations
 
-import warnings
-
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.ab.platform import Platform
-from repro.runtime import ExecutionBackend, ProcessBackend
+from repro.runtime import ExecutionBackend
 from repro.utils.rng import as_generator
 
-__all__ = ["ABTest", "ABTestResult", "DayResult", "RANDOM_ARM", "plan_day", "run_backend"]
-
-
-def run_backend(
-    backend: ExecutionBackend | None,
-    parallel: bool | None,
-    n_workers: int | None,
-    platform: Platform | None = None,
-) -> tuple[ExecutionBackend | None, bool]:
-    """Resolve the execution backend for one experiment run.
-
-    Shared by :class:`ABTest` and :class:`~repro.ab.replay.PolicyReplay`:
-    a caller-supplied backend is borrowed (never shut down here), while
-    the legacy ``parallel=True`` spelling — on the experiment *or*,
-    when the experiment says nothing (``parallel=None``), on the
-    platform — gets **one** run-scoped
-    :class:`~repro.runtime.ProcessBackend`: a single pool for every
-    day of the run, never a pool per ``daily_cohort`` call.  An
-    explicit ``parallel=False`` (and the plain serial case) gets no
-    backend at all; a platform-level ``backend`` is inherited by
-    ``daily_cohort`` itself and needs no resolution here.
-
-    Returns
-    -------
-    (backend, owned)
-        ``owned`` is True when the caller must shut the backend down
-        after the run.
-    """
-    if backend is not None:
-        return backend, False
-    if parallel:
-        return ProcessBackend(n_workers), True
-    if parallel is None and platform is not None and platform.backend is None and platform.parallel:
-        # the platform asked for parallel generation: give it one pool
-        # for the whole run instead of the legacy pool-per-call churn
-        return ProcessBackend(platform.n_workers), True
-    return None, False
+__all__ = ["ABTest", "ABTestResult", "DayResult", "RANDOM_ARM", "plan_day"]
 
 RANDOM_ARM = "random"
 
@@ -227,20 +189,12 @@ class ABTest:
         afford roughly this fraction of its users).
     random_state:
         Seed/generator for the daily partition and the random arm.
-    parallel:
-        ``True``: generate daily cohorts on one run-scoped worker pool
-        (bit-identical cohorts, less wall time — generation dominates
-        million-user days).  ``None`` (default): inherit the
-        platform's own parallel/backend configuration (a
-        platform-level ``parallel=True`` also gets one run-scoped
-        pool).  ``False``: force fully serial generation for this
-        experiment, whatever the platform is configured with.
-    n_workers:
-        Pool size when ``parallel`` (``None`` → all visible CPUs).
     backend:
         A shared :class:`~repro.runtime.ExecutionBackend` for cohort
-        generation.  Takes precedence over ``parallel`` and is never
-        shut down by the test — one pool can serve many experiments.
+        generation (bit-identical cohorts, less wall time — generation
+        dominates million-user days).  ``None`` (default) inherits the
+        platform's backend.  Never shut down by the test — one pool can
+        serve many experiments.
     """
 
     def __init__(
@@ -249,8 +203,6 @@ class ABTest:
         policies: dict[str, Policy],
         budget_fraction: float = 0.3,
         random_state: int | np.random.Generator | None = None,
-        parallel: bool | None = None,
-        n_workers: int | None = None,
         backend: ExecutionBackend | None = None,
     ) -> None:
         if not policies:
@@ -260,15 +212,6 @@ class ABTest:
         self.platform = platform
         self.policies = dict(policies)
         self.budget_fraction = check_budget_fraction(budget_fraction)
-        if parallel is not None or n_workers is not None:
-            warnings.warn(
-                "ABTest(parallel=..., n_workers=...) is deprecated; pass a shared "
-                "backend= (e.g. repro.runtime.ProcessBackend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.parallel = None if parallel is None else bool(parallel)
-        self.n_workers = n_workers
         self.backend = backend
         self._rng = as_generator(random_state)
 
@@ -276,29 +219,15 @@ class ABTest:
         """Execute the experiment (five days in the paper's setups).
 
         Cohort generation for *all* days shares one execution backend:
-        either the one passed at construction or, under the legacy
-        ``parallel=True``, a single run-scoped process pool (started
-        lazily, shut down when the run ends).
+        the one passed at construction, else the platform's.
         """
         if n_days < 1:
             raise ValueError(f"n_days must be >= 1, got {n_days}")
         check_cohort_size(cohort_size, len(self.policies) + 1)
-        backend, owned = run_backend(
-            self.backend, self.parallel, self.n_workers, self.platform
-        )
         result = ABTestResult()
-        # an explicit parallel=False forces serial generation even over
-        # the platform's configuration; None inherits it
-        per_day_parallel = False if self.parallel is False else None
-        try:
-            for day in range(1, n_days + 1):
-                cohort = self.platform.daily_cohort(
-                    cohort_size, day, parallel=per_day_parallel, backend=backend
-                )
-                result.days.append(self.run_day(cohort, day))
-        finally:
-            if owned:
-                backend.shutdown()
+        for day in range(1, n_days + 1):
+            cohort = self.platform.daily_cohort(cohort_size, day, backend=self.backend)
+            result.days.append(self.run_day(cohort, day))
         return result
 
     def run_day(self, cohort, day: int) -> DayResult:

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.core.allocation import spend_down_prefix
 from repro.data.rct import RCTDataset
 from repro.data.settings import iter_dataset_chunks, load_dataset
 from repro.data.shift import concept_drift, exponential_tilt_shift
-from repro.runtime import ExecutionBackend, resolve_n_workers
+from repro.runtime import ExecutionBackend
 from repro.utils.rng import as_generator
 
 __all__ = ["Platform"]
@@ -81,17 +79,11 @@ class Platform:
         the accumulated chunks plus the concatenated output) instead
         of the one-shot path's multiple-``n`` oversample pool — what
         makes million-user days feasible.
-    parallel:
-        Generate chunked cohorts on a worker pool.  Output is
-        bit-identical to the serial path (chunks live on per-index
-        seed substreams); only wall time changes.  Without a
-        ``backend`` this spins a private pool per draw — prefer
-        passing a shared backend.
-    n_workers:
-        Pool size when ``parallel`` (``None`` → all visible CPUs).
     backend:
         A shared :class:`~repro.runtime.ExecutionBackend` for chunked
-        generation.  One pool then serves every ``daily_cohort`` call
+        generation.  Output is bit-identical to the serial path
+        (chunks live on per-index seed substreams); only wall time
+        changes.  One pool then serves every ``daily_cohort`` call
         (and every day of an :class:`~repro.ab.experiment.ABTest`)
         instead of being rebuilt per call.  The platform never shuts
         it down — lifetime belongs to the caller.
@@ -109,8 +101,6 @@ class Platform:
         drift_strength: float = 1.0,
         base_revenue_rate: float = 0.25,
         chunk_size: int = 200_000,
-        parallel: bool = False,
-        n_workers: int | None = None,
         backend: ExecutionBackend | None = None,
         random_state: int | np.random.Generator | None = None,
     ) -> None:
@@ -124,13 +114,6 @@ class Platform:
             raise ValueError(f"base_revenue_rate must be in (0, 1), got {base_revenue_rate}")
         if chunk_size < 50:
             raise ValueError(f"chunk_size must be >= 50, got {chunk_size}")
-        if parallel or n_workers is not None:
-            warnings.warn(
-                "Platform(parallel=..., n_workers=...) is deprecated; pass a shared "
-                "backend= (e.g. repro.runtime.ProcessBackend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.dataset = dataset
         self.shifted = bool(shifted)
         self.shift_strength = float(shift_strength)
@@ -139,8 +122,6 @@ class Platform:
         self.drift_strength = float(drift_strength)
         self.base_revenue_rate = float(base_revenue_rate)
         self.chunk_size = int(chunk_size)
-        self.parallel = bool(parallel)
-        self.n_workers = None if n_workers is None else resolve_n_workers(n_workers)
         self.backend = backend
         self._rng = as_generator(random_state)
 
@@ -149,8 +130,6 @@ class Platform:
         n: int,
         day: int,
         *,
-        parallel: bool | None = None,
-        n_workers: int | None = None,
         backend: ExecutionBackend | None = None,
     ) -> RCTDataset:
         """Draw the users arriving on ``day`` (1-based).
@@ -160,29 +139,21 @@ class Platform:
         columns are ignored by the A/B harness (assignment is decided
         by the policies, not by the generator).
 
-        ``parallel`` / ``n_workers`` / ``backend`` override the
-        platform-level settings for this draw only; the cohort is
-        bit-identical either way.  An explicit ``parallel=False``
-        forces a fully in-process draw — it disables the platform's
-        configured backend too (needed e.g. inside a worker process,
-        where nested pools are forbidden) — unless an explicit
-        ``backend`` is passed, which always wins.
+        ``backend`` overrides the platform's backend for this draw
+        only; the cohort is bit-identical either way.  Passing a
+        :class:`~repro.runtime.SerialBackend` forces a fully
+        in-process draw (needed e.g. inside a worker process, where
+        nested pools are forbidden).
         """
         if n < 3:
             raise ValueError(f"cohort size must be >= 3, got {n}")
         if day < 1:
             raise ValueError(f"day must be >= 1, got {day}")
-        force_serial = parallel is False and backend is None
-        parallel = self.parallel if parallel is None else bool(parallel)
-        n_workers = self.n_workers if n_workers is None else resolve_n_workers(n_workers)
-        backend = self.backend if backend is None else backend
-        if force_serial:
-            backend = None
         if n <= self.chunk_size:
             cohort = self._draw_cohort_oneshot(n)
         else:
             cohort = self._draw_cohort_chunked(
-                n, parallel=parallel, n_workers=n_workers, backend=backend
+                n, self.backend if backend is None else backend
             )
         # deterministic day-of-week multiplier on the effects, applied
         # in place — the cohort's arrays are freshly generated (or
@@ -232,13 +203,7 @@ class Platform:
             cohort = cohort.subset(np.arange(n))
         return cohort
 
-    def _draw_cohort_chunked(
-        self,
-        n: int,
-        parallel: bool = False,
-        n_workers: int | None = None,
-        backend: ExecutionBackend | None = None,
-    ) -> RCTDataset:
+    def _draw_cohort_chunked(self, n: int, backend: ExecutionBackend | None) -> RCTDataset:
         """Chunked draw: peak memory ~2x the cohort (accumulated chunks
         plus the concatenated output; pool chunks on the shifted path
         are ``2 * chunk_size`` rows), never a multiple-``n`` oversample
@@ -248,10 +213,9 @@ class Platform:
         :func:`~repro.data.settings.iter_dataset_chunks`; shifted
         cohorts tilt each pool chunk down to half, which targets the
         same shifted marginal as one global tilt (the tilt weights are
-        i.i.d. functions of each row's features).  ``backend`` (or the
-        legacy ``parallel``) fans chunk generation out across a worker
-        pool (tilting stays in-process — it is subsampling, not
-        generation).
+        i.i.d. functions of each row's features).  ``backend`` fans
+        chunk generation out across a worker pool (tilting stays
+        in-process — it is subsampling, not generation).
         """
         parts: list[RCTDataset] = []
         have = 0
@@ -266,8 +230,6 @@ class Platform:
                     2 * need,
                     chunk_size=2 * self.chunk_size,
                     random_state=self._rng,
-                    parallel=parallel,
-                    n_workers=n_workers,
                     backend=backend,
                 ):
                     if pool.n < 2:
@@ -292,8 +254,6 @@ class Platform:
                 n,
                 chunk_size=self.chunk_size,
                 random_state=self._rng,
-                parallel=parallel,
-                n_workers=n_workers,
                 backend=backend,
             ):
                 parts.append(chunk)

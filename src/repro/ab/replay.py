@@ -44,8 +44,6 @@ Example — three policies on identical traffic::
 
 from __future__ import annotations
 
-import warnings
-
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +56,6 @@ from repro.ab.experiment import (
     check_budget_fraction,
     check_cohort_size,
     plan_day,
-    run_backend,
 )
 from repro.ab.platform import Platform
 from repro.obs import NULL_REGISTRY, MetricsRegistry
@@ -155,15 +152,10 @@ class PolicyReplay:
     random_state:
         Seed/generator for the shared partition and the shared outcome
         uniforms.
-    parallel, n_workers:
-        Worker-pool settings for chunked cohort generation (cohorts
-        are bit-identical either way).  ``parallel=True`` starts one
-        run-scoped pool shared by every day; ``None`` (default)
-        inherits the platform's configuration; ``False`` forces
-        serial generation.
     backend:
-        A shared :class:`~repro.runtime.ExecutionBackend` for cohort
-        generation; takes precedence over ``parallel`` and is never
+        A shared :class:`~repro.runtime.ExecutionBackend` for chunked
+        cohort generation (cohorts are bit-identical either way).
+        ``None`` (default) inherits the platform's backend.  Never
         shut down by the replay.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` collecting the replay's
@@ -179,8 +171,6 @@ class PolicyReplay:
         policy_sets: dict[str, dict[str, Policy]],
         budget_fraction: float = 0.3,
         random_state: int | np.random.Generator | None = None,
-        parallel: bool | None = None,
-        n_workers: int | None = None,
         backend: ExecutionBackend | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -196,15 +186,6 @@ class PolicyReplay:
         self.platform = platform
         self.policy_sets = {name: dict(policies) for name, policies in policy_sets.items()}
         self.budget_fraction = check_budget_fraction(budget_fraction)
-        if parallel is not None or n_workers is not None:
-            warnings.warn(
-                "PolicyReplay(parallel=..., n_workers=...) is deprecated; pass a shared "
-                "backend= (e.g. repro.runtime.ProcessBackend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.parallel = None if parallel is None else bool(parallel)
-        self.n_workers = n_workers
         self.backend = backend
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._c_days = self.metrics.counter("replay.policy.days")
@@ -219,29 +200,17 @@ class PolicyReplay:
         """Replay ``n_days`` of traffic through every policy set.
 
         As in :meth:`ABTest.run`, all days share one execution backend
-        (caller-supplied, or one run-scoped pool under ``parallel``).
+        (caller-supplied, else the platform's).
         """
         if n_days < 1:
             raise ValueError(f"n_days must be >= 1, got {n_days}")
         check_cohort_size(cohort_size, self._max_arms())
-        backend, owned = run_backend(
-            self.backend, self.parallel, self.n_workers, self.platform
-        )
         result = PolicyReplayResult(
             results={name: ABTestResult() for name in self.policy_sets}
         )
-        # an explicit parallel=False forces serial generation even over
-        # the platform's configuration; None inherits it
-        per_day_parallel = False if self.parallel is False else None
-        try:
-            for day in range(1, n_days + 1):
-                cohort = self.platform.daily_cohort(
-                    cohort_size, day, parallel=per_day_parallel, backend=backend
-                )
-                self._replay_day(cohort, day, result)
-        finally:
-            if owned:
-                backend.shutdown()
+        for day in range(1, n_days + 1):
+            cohort = self.platform.daily_cohort(cohort_size, day, backend=self.backend)
+            self._replay_day(cohort, day, result)
         return result
 
     def replay_day(self, cohort, day: int) -> PolicyReplayResult:

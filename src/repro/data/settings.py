@@ -17,7 +17,6 @@ base distribution.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.data.criteo import criteo_uplift_v2
 from repro.data.meituan import meituan_lift
 from repro.data.rct import RCTDataset
 from repro.data.shift import exponential_tilt_shift
-from repro.runtime import ExecutionBackend, ProcessBackend, resolve_n_workers
+from repro.runtime import ExecutionBackend
 from repro.utils.rng import SeedStream, as_generator
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "iter_dataset_chunks",
     "load_dataset",
     "make_setting",
-    "resolve_n_workers",
 ]
 
 SETTING_NAMES = ("SuNo", "SuCo", "InNo", "InCo")
@@ -122,8 +120,6 @@ def iter_dataset_chunks(
     n: int,
     chunk_size: int = 250_000,
     random_state: int | np.random.Generator | None = None,
-    parallel: bool = False,
-    n_workers: int | None = None,
     backend: ExecutionBackend | None = None,
 ):
     """Yield dataset chunks until at least ``n`` rows have been produced.
@@ -147,12 +143,10 @@ def iter_dataset_chunks(
     the adaptive tail chunk whose request depends on the observed yield.
     The yielded chunks are **bit-identical** to the serial path's.
 
-    Passing ``backend=`` is the preferred spelling: the pool it wraps
-    is *reused* across calls (one startup per run, however many days'
-    cohorts stream through it), and a
+    The pool behind ``backend=`` is *reused* across calls (one startup
+    per run, however many days' cohorts stream through it), and a
     :class:`~repro.runtime.ThreadBackend` sidesteps chunk pickling
-    entirely.  The legacy ``parallel=True`` spelling still works but
-    creates — and tears down — a private process pool per call.
+    entirely.
 
     Parameters
     ----------
@@ -168,12 +162,6 @@ def iter_dataset_chunks(
         generator (to derive the chunk substream root), identically in
         serial and parallel mode — do not otherwise rely on the
         generator's position afterwards.
-    parallel:
-        Legacy switch: generate chunks on a private, per-call process
-        pool (same output, less wall time).  Ignored when ``backend``
-        is given.
-    n_workers:
-        Pool size when ``parallel`` (``None`` → all visible CPUs).
     backend:
         A shared :class:`~repro.runtime.ExecutionBackend` to fan
         chunks out on.  The backend is *not* shut down by this
@@ -192,23 +180,11 @@ def iter_dataset_chunks(
         raise ValueError(f"chunk_size must be >= 50, got {chunk_size}")
     if name not in _GENERATORS:
         raise ValueError(f"Unknown dataset {name!r}; choose from {DATASET_NAMES}")
-    if parallel or n_workers is not None:
-        warnings.warn(
-            "iter_dataset_chunks(parallel=..., n_workers=...) is deprecated; pass a "
-            "shared backend= (e.g. repro.runtime.ProcessBackend) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    workers = resolve_n_workers(n_workers)
     seeds = SeedStream(random_state)
     # generous cap: even a 10%-yield generator fits well inside it
     max_chunks = 20 * (n // chunk_size + 1) + 10
     if backend is not None and backend.n_workers > 1 and n > chunk_size:
         yield from _iter_chunks_parallel(name, n, chunk_size, seeds, backend, max_chunks)
-    elif backend is None and parallel and workers > 1 and n > chunk_size:
-        # legacy spelling: a private pool, torn down when the iterator ends
-        with ProcessBackend(workers) as owned:
-            yield from _iter_chunks_parallel(name, n, chunk_size, seeds, owned, max_chunks)
     else:
         yield from _iter_chunks_serial(name, n, chunk_size, seeds, max_chunks)
 

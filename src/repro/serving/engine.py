@@ -87,6 +87,36 @@ def _score_rows(policy: DecisionPolicy, model: object, rows: np.ndarray) -> np.n
     return policy.score_batch(model, rows)
 
 
+class _LRUScoreCache:
+    """The default score cache: an LRU dict of at most ``capacity``
+    ``(version, row bytes) -> score`` entries.
+
+    Speaks the ``get``/``put`` contract of
+    :class:`~repro.runtime.SharedScoreCache`, so the engine holds one
+    cache object whichever implementation is plugged in.
+    """
+
+    __slots__ = ("capacity", "_entries")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict[tuple[int, bytes], float] = OrderedDict()
+
+    def get(self, version: int, row_bytes: bytes) -> float | None:
+        key = (version, row_bytes)
+        hit = self._entries.get(key)
+        if hit is not None:
+            self._entries.move_to_end(key)
+        return hit
+
+    def put(self, version: int, row_bytes: bytes, score: float) -> None:
+        key = (version, row_bytes)
+        self._entries[key] = score
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+
 class _PendingBlock:
     """One version's buffered requests, stored columnar.
 
@@ -270,9 +300,9 @@ class ScoringEngine:
         ``get(version, row_bytes) -> float | None`` and
         ``put(version, row_bytes, score)`` (the
         :class:`~repro.runtime.SharedScoreCache` contract).  ``None``
-        (default) keeps the engine's private LRU dict.  ``cache_size``
-        still gates whether caching happens at all (``0`` disables the
-        probe either way); capacity/eviction of an external cache are
+        (default) uses a private LRU of ``cache_size`` entries.
+        ``cache_size`` still gates whether caching happens at all (``0``
+        disables the probe either way); capacity/eviction of an external cache are
         its own — a shared fixed-capacity table is what the sharded
         fleet plugs in so a hit on any shard is a hit on all.
     """
@@ -314,8 +344,7 @@ class ScoringEngine:
         self._deadlines = (
             DeadlineLoop(clock) if (clock is not None and max_latency_ms is not None) else None
         )
-        self._cache: OrderedDict[tuple[int, bytes], float] = OrderedDict()
-        self._score_cache = score_cache
+        self._cache = score_cache if score_cache is not None else _LRUScoreCache(self.cache_size)
         # pending rows grouped by model version, stored columnar:
         # version -> _PendingBlock (rows + rids, one contiguous slab)
         self._pending: dict[int, _PendingBlock] = {}
@@ -386,7 +415,7 @@ class ScoringEngine:
         version = self.registry.route(key)
         self._version_by_rid[rid] = version.version
         if self.cache_size > 0:
-            hit = self._cache_probe(version.version, row.tobytes())
+            hit = self._cache.get(version.version, row.tobytes())
             if hit is not None:
                 self._c_cache_hits.inc()
                 version.cache_hits += 1
@@ -460,16 +489,18 @@ class ScoringEngine:
         version = self.registry.route(None)  # static: champion, no RNG
         vid = version.version
         rid0 = self._next_id
-        self._next_id += n
-        self._c_requests.inc(n)
-        self._c_cache_misses.inc(n)
         now = self.clock.now() if self.clock is not None else None
         start = 0
         while start < n:
             # stop at every batch_size boundary exactly as the scalar
-            # path would (flush counters stay identical)
+            # path would (flush counters stay identical); ids and
+            # counters advance per slice, so a raising mid-block flush
+            # leaves the rows after it uncounted, as N submits would
             take = min(max(self.batch_size - self._n_pending, 1), n - start)
             slice_rid0 = rid0 + start
+            self._next_id += take
+            self._c_requests.inc(take)
+            self._c_cache_misses.inc(take)
             block = self._pending.get(vid)
             if block is None:
                 block = self._pending[vid] = _PendingBlock(
@@ -656,7 +687,7 @@ class ScoringEngine:
                         )
                         self._log_latency(now - sub)
                     if self.cache_size > 0:
-                        self._remember(version_id, rows[i].tobytes(), score)
+                        self._cache.put(version_id, rows[i].tobytes(), score)
 
     def _log_latency(self, seconds: float) -> None:
         # the sketch sees everything (bounded memory, no eviction) —
@@ -876,31 +907,6 @@ class ScoringEngine:
         self._c_model_calls.inc()
         self._c_rows_scored.inc(x.shape[0])
         return scores
-
-    # ------------------------------------------------------------------
-    # cache
-    # ------------------------------------------------------------------
-    def _cache_probe(self, version_id: int, row_bytes: bytes) -> float | None:
-        """One cache lookup through whichever backend is plugged in."""
-        if self._score_cache is not None:
-            return self._score_cache.get(version_id, row_bytes)
-        cache_key = (version_id, row_bytes)
-        hit = self._cache.get(cache_key)
-        if hit is not None:
-            self._cache.move_to_end(cache_key)
-        return hit
-
-    def _remember(self, version_id: int, row_bytes: bytes, score: float) -> None:
-        if self.cache_size <= 0:
-            return
-        if self._score_cache is not None:
-            self._score_cache.put(version_id, row_bytes, score)
-            return
-        cache_key = (version_id, row_bytes)
-        self._cache[cache_key] = score
-        self._cache.move_to_end(cache_key)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
 
     @property
     def stats(self) -> dict[str, int]:

@@ -32,7 +32,7 @@ def handed_off(n: int) -> None:
 
 
 def rebound(backend, parallel: bool):
-    # the run_backend(...) rebind pattern: the parameter is replaced by
+    # a rebind pattern: the parameter is replaced by
     # a (backend, owned) resolution, so the shutdown is on an owned one
     backend, owned = run_backend(backend, parallel)
     try:

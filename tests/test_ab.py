@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.ab.experiment import RANDOM_ARM, ABTest
 from repro.ab.platform import Platform
 from repro.data.rct import RCTDataset
+from repro.runtime import ProcessBackend, SerialBackend
 
 
 @pytest.fixture
@@ -340,60 +341,64 @@ class TestCRNUniforms:
 
 
 class TestParallelGeneration:
-    """parallel=/n_workers= must change wall time only, never output."""
+    """A process-pool backend must change wall time only, never output."""
 
     def test_daily_cohort_bit_identical(self):
         serial = Platform(dataset="criteo", chunk_size=300, random_state=9)
-        pooled = Platform(
-            dataset="criteo", chunk_size=300, parallel=True, n_workers=2, random_state=9
-        )
-        a = serial.daily_cohort(1000, day=2)
-        b = pooled.daily_cohort(1000, day=2)
+        with ProcessBackend(2) as backend:
+            pooled = Platform(dataset="criteo", chunk_size=300, backend=backend, random_state=9)
+            a = serial.daily_cohort(1000, day=2)
+            b = pooled.daily_cohort(1000, day=2)
+            assert backend.start_count == 1
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.tau_r, b.tau_r)
         np.testing.assert_array_equal(a.tau_c, b.tau_c)
 
     def test_shifted_daily_cohort_bit_identical(self):
         serial = Platform(dataset="criteo", shifted=True, chunk_size=300, random_state=9)
-        pooled = Platform(
-            dataset="criteo", shifted=True, chunk_size=300, parallel=True, n_workers=2,
-            random_state=9,
-        )
-        a = serial.daily_cohort(800, day=1)
-        b = pooled.daily_cohort(800, day=1)
+        with ProcessBackend(2) as backend:
+            pooled = Platform(
+                dataset="criteo", shifted=True, chunk_size=300, backend=backend,
+                random_state=9,
+            )
+            a = serial.daily_cohort(800, day=1)
+            b = pooled.daily_cohort(800, day=1)
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_per_call_override_wins(self):
-        pooled = Platform(
-            dataset="criteo", chunk_size=300, parallel=True, n_workers=2, random_state=9
-        )
-        serial = Platform(dataset="criteo", chunk_size=300, random_state=9)
-        a = pooled.daily_cohort(700, day=1, parallel=False)
-        b = serial.daily_cohort(700, day=1)
+        """A per-draw ``backend=SerialBackend()`` forces a fully
+        in-process draw over the platform's pool (nested pools inside a
+        worker process are forbidden)."""
+        with ProcessBackend(2) as backend:
+            pooled = Platform(dataset="criteo", chunk_size=300, backend=backend, random_state=9)
+            a = pooled.daily_cohort(700, day=1, backend=SerialBackend())
+            assert backend.start_count == 0  # the pool never started
+        b = Platform(dataset="criteo", chunk_size=300, random_state=9).daily_cohort(700, day=1)
         np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.tau_r, b.tau_r)
 
     def test_abtest_run_bit_identical(self):
         """End-to-end: partitions, orders, and realised outcomes match
-        because the platform stream advances identically either way."""
-        def run(parallel):
-            platform = Platform(dataset="criteo", chunk_size=300, random_state=5)
+        because the platform stream advances identically either way.
+        The run inherits the platform's backend: one pool for all days."""
+        def run(backend):
+            platform = Platform(
+                dataset="criteo", chunk_size=300, backend=backend, random_state=5
+            )
             test = ABTest(
                 platform,
                 {"m": lambda x: x[:, 0]},
                 budget_fraction=0.3,
                 random_state=5,
-                parallel=parallel,
-                n_workers=2,
             )
             return test.run(n_days=2, cohort_size=700)
 
-        serial, pooled = run(False), run(True)
+        serial = run(None)
+        with ProcessBackend(2) as backend:
+            pooled = run(backend)
+            assert backend.start_count == 1
         for day_s, day_p in zip(serial.days, pooled.days):
             assert day_s == day_p
-
-    def test_invalid_n_workers(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            Platform(n_workers=0)
 
 
 class TestABTest:

@@ -12,6 +12,7 @@ from repro.data.settings import (
     make_setting,
 )
 from repro.data.shift import shift_direction
+from repro.runtime import ProcessBackend
 
 
 class TestIterDatasetChunks:
@@ -52,8 +53,6 @@ class TestIterDatasetChunks:
             list(iter_dataset_chunks("criteo", 100, chunk_size=5))
         with pytest.raises(ValueError, match="Unknown dataset"):
             list(iter_dataset_chunks("nope", 100))
-        with pytest.raises(ValueError, match="n_workers"):
-            list(iter_dataset_chunks("criteo", 100, parallel=True, n_workers=0))
 
     def test_chunks_independent_of_consumption_order(self):
         """Chunk i is a pure function of its substream, not of i-1's rows."""
@@ -77,23 +76,26 @@ def _assert_datasets_equal(a, b):
 class TestParallelChunks:
     """The worker-pool path must be byte-for-byte the serial path."""
 
+    @pytest.fixture
+    def backend(self):
+        with ProcessBackend(2) as backend:
+            yield backend
+
     @pytest.mark.parametrize("dataset", ["criteo", "meituan"])
-    def test_parallel_bit_identical_to_serial(self, dataset):
+    def test_parallel_bit_identical_to_serial(self, dataset, backend):
         # meituan's ~40% yield exercises the adaptive-tail recompute
         # path (the speculated full-size request is wrong at the tail)
         serial = list(
             iter_dataset_chunks(dataset, 1200, chunk_size=300, random_state=7)
         )
         parallel = list(
-            iter_dataset_chunks(
-                dataset, 1200, chunk_size=300, random_state=7, parallel=True, n_workers=2
-            )
+            iter_dataset_chunks(dataset, 1200, chunk_size=300, random_state=7, backend=backend)
         )
         assert [c.n for c in serial] == [c.n for c in parallel]
         for a, b in zip(serial, parallel):
             _assert_datasets_equal(a, b)
 
-    def test_parallel_leaves_caller_stream_where_serial_does(self):
+    def test_parallel_leaves_caller_stream_where_serial_does(self, backend):
         """Speculative extra substream seeds must not consume extra
         draws from a shared caller generator (exactly one draw total)."""
         g_serial = np.random.default_rng(5)
@@ -101,21 +103,19 @@ class TestParallelChunks:
         g_parallel = np.random.default_rng(5)
         list(
             iter_dataset_chunks(
-                "criteo", 700, chunk_size=300, random_state=g_parallel,
-                parallel=True, n_workers=2,
+                "criteo", 700, chunk_size=300, random_state=g_parallel, backend=backend
             )
         )
         assert g_serial.random() == g_parallel.random()
 
-    def test_parallel_single_chunk_falls_back_to_serial(self):
+    def test_parallel_single_chunk_falls_back_to_serial(self, backend):
         """n <= chunk_size: nothing to fan out, identical output."""
         serial = list(iter_dataset_chunks("criteo", 200, chunk_size=300, random_state=1))
         parallel = list(
-            iter_dataset_chunks(
-                "criteo", 200, chunk_size=300, random_state=1, parallel=True, n_workers=2
-            )
+            iter_dataset_chunks("criteo", 200, chunk_size=300, random_state=1, backend=backend)
         )
         assert len(serial) == len(parallel) == 1
+        assert backend.start_count == 0  # nothing to fan out: the pool never started
         _assert_datasets_equal(serial[0], parallel[0])
 
 

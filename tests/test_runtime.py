@@ -246,14 +246,15 @@ class TestSharedBackendChunks:
             assert backend.submit(_square, 4).result() == 16
 
     def test_explicit_parallel_false_disables_platform_backend(self):
-        """A per-draw parallel=False must force a fully in-process draw
-        even when the platform carries a configured backend (nested
-        pools inside a worker process are forbidden)."""
+        """A per-draw serial override (``backend=SerialBackend()``, the
+        spelling that replaced ``parallel=False``) must force a fully
+        in-process draw even when the platform carries a configured
+        backend (nested pools inside a worker process are forbidden)."""
         with ProcessBackend(2) as backend:
             platform = Platform(
                 dataset="criteo", chunk_size=300, random_state=9, backend=backend
             )
-            cohort = platform.daily_cohort(700, day=1, parallel=False)
+            cohort = platform.daily_cohort(700, day=1, backend=SerialBackend())
             assert backend.start_count == 0  # the pool never started
         serial = Platform(dataset="criteo", chunk_size=300, random_state=9)
         np.testing.assert_array_equal(cohort.x, serial.daily_cohort(700, day=1).x)
@@ -306,86 +307,21 @@ class TestExperimentPoolReuse:
         for day_s, day_p in zip(serial.days, shared.days):
             assert self._day_tuple(day_s) == self._day_tuple(day_p)
 
-    def test_abtest_legacy_parallel_uses_one_run_scoped_pool(self, monkeypatch):
-        """parallel=True must no longer churn a pool per daily_cohort."""
-        import repro.ab.experiment as experiment_module
-
-        created: list[ProcessBackend] = []
-        real = experiment_module.ProcessBackend
-
-        def spying(n_workers=None):
-            backend = real(n_workers)
-            created.append(backend)
-            return backend
-
-        monkeypatch.setattr(experiment_module, "ProcessBackend", spying)
-        test = ABTest(
-            self._make_platform(),
-            {"m": _score_first_feature},
-            random_state=0,
-            parallel=True,
-            n_workers=2,
-        )
-        result = test.run(n_days=3, cohort_size=400)
-        assert len(result.days) == 3
-        assert len(created) == 1  # one backend for the whole run
-        assert created[0].start_count == 1  # which started one pool
-        assert not created[0].running  # and was shut down at run end
-
-    def test_platform_level_parallel_gets_one_run_scoped_pool(self, monkeypatch):
-        """Platform(parallel=True) under ABTest.run must get the same
-        one-pool-per-run treatment as ABTest(parallel=True) — not the
-        legacy pool-per-daily_cohort churn."""
-        import repro.ab.experiment as experiment_module
-
-        created: list[ProcessBackend] = []
-        real = experiment_module.ProcessBackend
-
-        def spying(n_workers=None):
-            backend = real(n_workers)
-            created.append(backend)
-            return backend
-
-        monkeypatch.setattr(experiment_module, "ProcessBackend", spying)
-        serial = ABTest(
-            self._make_platform(), {"m": _score_first_feature}, random_state=0
-        ).run(n_days=3, cohort_size=400)
-        pooled = ABTest(
-            self._make_platform(parallel=True, n_workers=2),
-            {"m": _score_first_feature},
-            random_state=0,
-        ).run(n_days=3, cohort_size=400)
-        assert len(created) == 1  # one run-scoped backend...
-        assert created[0].start_count == 1  # ...one pool across 3 days
-        assert not created[0].running  # shut down at run end
-        for day_s, day_p in zip(serial.days, pooled.days):
-            assert self._day_tuple(day_s) == self._day_tuple(day_p)
-
-    def test_experiment_parallel_false_forces_serial(self, monkeypatch):
-        """The tri-state override: ABTest(parallel=False) must run fully
-        in-process even over Platform(parallel=True)."""
-        import repro.ab.experiment as experiment_module
-
-        created: list[object] = []
-        real = experiment_module.ProcessBackend
-
-        def spying(n_workers=None):
-            backend = real(n_workers)
-            created.append(backend)
-            return backend
-
-        monkeypatch.setattr(experiment_module, "ProcessBackend", spying)
-        serial = ABTest(
-            self._make_platform(parallel=True, n_workers=2),
-            {"m": _score_first_feature},
-            random_state=0,
-            parallel=False,
-        ).run(n_days=2, cohort_size=400)
-        assert created == []  # no pool anywhere: experiment forced serial
+    def test_abtest_serial_backend_overrides_platform_pool(self):
+        """``ABTest(backend=SerialBackend())`` runs every day in-process
+        even over a platform that carries a pool."""
+        with ProcessBackend(2) as backend:
+            forced = ABTest(
+                self._make_platform(backend=backend),
+                {"m": _score_first_feature},
+                random_state=0,
+                backend=SerialBackend(),
+            ).run(n_days=2, cohort_size=400)
+            assert backend.start_count == 0  # no pool anywhere
         plain = ABTest(
             self._make_platform(), {"m": _score_first_feature}, random_state=0
         ).run(n_days=2, cohort_size=400)
-        for day_s, day_p in zip(serial.days, plain.days):
+        for day_s, day_p in zip(forced.days, plain.days):
             assert self._day_tuple(day_s) == self._day_tuple(day_p)
 
     def test_policy_replay_shares_the_backend(self):
@@ -408,74 +344,20 @@ class TestExperimentPoolReuse:
                 assert day_s == day_p
 
 
-class TestLegacyParallelKwargDeprecation:
-    """``parallel=``/``n_workers=`` are deprecated in favour of ``backend=``.
+class TestBackendIsTheOnlyExecutionOption:
+    """``backend=`` is the one way to say where cohort generation runs."""
 
-    The legacy spellings must keep working bit-identically (each entry
-    point still honours them), but now raise a DeprecationWarning so
-    callers migrate to passing an ExecutionBackend explicitly.
-    """
-
-    def test_platform_warns_on_legacy_kwargs(self):
-        from repro.ab.platform import Platform
-
-        with pytest.warns(DeprecationWarning, match="backend="):
-            Platform(dataset="criteo", random_state=0, parallel=True, n_workers=2)
-        with pytest.warns(DeprecationWarning, match="backend="):
-            Platform(dataset="criteo", random_state=0, n_workers=2)
-
-    @staticmethod
-    def _policy():
-        # a Policy is any callable x -> scores
-        return {"first-feature": lambda x: x[:, 0]}
-
-    def test_abtest_and_policy_replay_warn(self):
-        from repro.ab import ABTest, PolicyReplay
-        from repro.ab.platform import Platform
-
-        platform = Platform(dataset="criteo", random_state=0)
-        with pytest.warns(DeprecationWarning, match="backend="):
-            ABTest(platform, self._policy(), parallel=False)
-        with pytest.warns(DeprecationWarning, match="backend="):
-            PolicyReplay(platform, {"set": self._policy()}, n_workers=2)
-
-    def test_iter_dataset_chunks_warns(self):
-        from repro.data.settings import iter_dataset_chunks
-
-        with pytest.warns(DeprecationWarning, match="backend="):
-            chunks = iter_dataset_chunks(
-                "criteo", n=300, chunk_size=100, random_state=0, parallel=True
-            )
-            next(iter(chunks))
-
-    def test_backend_spelling_stays_silent(self):
-        import warnings
-
-        from repro.ab import ABTest, PolicyReplay
-        from repro.ab.platform import Platform
-        from repro.data.settings import iter_dataset_chunks
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with SerialBackend() as backend:
-                platform = Platform(dataset="criteo", random_state=0, backend=backend)
-                ABTest(platform, self._policy(), backend=backend)
-                PolicyReplay(platform, {"set": self._policy()}, backend=backend)
-                for _ in iter_dataset_chunks(
-                    "criteo", n=300, chunk_size=100, random_state=0, backend=backend
-                ):
-                    pass
-
-    def test_legacy_spelling_still_bit_identical(self):
-        import warnings
-
-        from repro.ab.platform import Platform
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Platform(
-                dataset="criteo", random_state=5, parallel=True, n_workers=2
-            ).daily_cohort(400, day=1)
-        modern = Platform(dataset="criteo", random_state=5).daily_cohort(400, day=1)
-        assert np.array_equal(legacy.x, modern.x)
-        assert np.array_equal(legacy.tau_r, modern.tau_r)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Platform(parallel=True),
+            lambda: ABTest(Platform(), {"m": _score_first_feature}, n_workers=2),
+            lambda: PolicyReplay(Platform(), {"s": {"m": _score_first_feature}}, parallel=False),
+            lambda: next(iter_dataset_chunks("criteo", 100, parallel=True)),
+            lambda: Platform().daily_cohort(100, day=1, n_workers=2),
+        ],
+        ids=["platform", "abtest", "policy_replay", "iter_dataset_chunks", "daily_cohort"],
+    )
+    def test_removed_spelling_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="parallel|n_workers"):
+            call()

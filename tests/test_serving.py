@@ -513,6 +513,27 @@ class TestScoringEngine:
             engine.version_of(rid)  # dropped with its batch
         assert engine._version_by_rid == {}
 
+    def test_submit_batch_raising_flush_counts_like_scalar_submits(self, rng):
+        """A mid-block flush that raises stops the block where N
+        ``submit`` calls would stop: rows after it are never counted,
+        and the next id picks up right after the failed batch."""
+
+        class Boom:
+            def predict_roi(self, x):
+                raise RuntimeError("down")
+
+        rows = rng.normal(size=(10, 3))
+        batch = ScoringEngine(Boom(), batch_size=4, cache_size=0)
+        with pytest.raises(RuntimeError, match="down"):
+            batch.submit_batch(rows)
+        scalar = ScoringEngine(Boom(), batch_size=4, cache_size=0)
+        with pytest.raises(RuntimeError, match="down"):
+            for row in rows:
+                scalar.submit(row)
+        assert batch.stats == scalar.stats
+        assert batch.stats["requests"] == batch.stats["cache_misses"] == 4
+        assert batch.submit(rows[0]) == scalar.submit(rows[0]) == 4
+
     def test_explicit_serial_backend_matches_default(self, stub_model, rng):
         x = rng.normal(size=(20, 12))
         default = ScoringEngine(stub_model, batch_size=8, cache_size=0)
