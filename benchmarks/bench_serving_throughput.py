@@ -144,9 +144,9 @@ def test_submit_batch_throughput(benchmark, smoke) -> None:
     A constant-time linear model isolates what this path is for —
     engine overhead per request.  The scalar reference pays a Python
     loop per row (route, id bookkeeping, buffer append); the bulk path
-    amortises all of it into slab copies and O(1) range records, which
-    is where the >= 2M scores/s batched target (asserted on >= 4-CPU
-    full runs, recorded everywhere) comes from.
+    amortises all of it into slab copies and result-table slices,
+    which is where the >= 2M scores/s batched target (asserted on
+    >= 4-CPU full runs, recorded everywhere) comes from.
     """
     n_bulk = SMOKE_N_BULK if smoke else N_BULK
     n_scalar = min(n_bulk, N_SCALAR_REF)

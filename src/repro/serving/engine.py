@@ -44,17 +44,21 @@ instead, so the p95 the deadline-bound claims are measured on reflects
 requests the model actually scored rather than being silently deflated
 by zero-cost replays.
 
-For outcome attribution the engine remembers which registry version's
-score serves each request — :meth:`version_of` — until the result is
-taken; the traffic simulator uses it to credit realised outcomes to
-the right :class:`~repro.serving.registry.OutcomeLedger`.
+Every request's result lives in one rid-indexed table: a score, the
+registry version whose score serves it (:meth:`version_of`, which the
+traffic simulator reads to credit realised outcomes to the right
+:class:`~repro.serving.registry.OutcomeLedger`) and a pending/ready/free
+state.  Request ids are issued contiguously, so a scalar ``submit``
+opens one slot, ``submit_batch`` opens a slice, a scored batch lands
+with one indexed write, and :meth:`take` / :meth:`take_block` /
+:meth:`drain` free slots that the table later compacts away.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -117,32 +121,153 @@ class _LRUScoreCache:
             self._entries.popitem(last=False)
 
 
+_PENDING, _READY, _FREE = 0, 1, 2  # result-table slot states
+
+
+class _ResultTable:
+    """Every live request's result, held columnar and indexed by rid.
+
+    Slot ``i`` of the ``score`` / ``version`` / ``state`` columns holds
+    request ``base + i``; the window ``[base, stop)`` spans every issued
+    rid that the table has not compacted away.  :meth:`open` issues the
+    next rids as pending slots, :meth:`resolve` marks them ready with
+    their scores, and taking a result (or :meth:`forget`-ing a failed
+    batch) frees its slot.  When the columns fill up, the free head of
+    the window is compacted away and the columns grow to keep at least
+    half of them free, so compaction costs amortised O(1) per rid.
+    Slots past ``stop`` are kept pending, so opening never writes a
+    state.
+
+    Batches read and write the numpy columns; single requests go
+    through memoryviews of the same buffers, whose item access costs
+    about a third of numpy's.
+    """
+
+    __slots__ = ("base", "stop", "score", "version", "state", "_score", "_version", "_state")
+
+    def __init__(self, cap: int = 1024) -> None:
+        # a compaction costs a few µs of numpy calls whatever the size;
+        # a kilo-slot floor keeps that well under 0.1 µs per request
+        self.base = 0
+        self.stop = 0
+        self._bind(np.zeros(cap), np.zeros(cap, dtype=np.int64), np.zeros(cap, dtype=np.int8))
+
+    def _bind(self, score: np.ndarray, version: np.ndarray, state: np.ndarray) -> None:
+        self.score, self.version, self.state = score, version, state
+        self._score, self._version, self._state = map(memoryview, (score, version, state))
+
+    def __len__(self) -> int:
+        """Live (pending or ready) slots."""
+        return int(np.count_nonzero(self.state[: self.stop - self.base] != _FREE))
+
+    def open(self, n: int, version: int = -1) -> int:
+        """Issue ``n`` consecutive pending rids served by ``version``
+        (``-1``: known only once :meth:`resolve` delivers it); returns
+        the first."""
+        lo = self.stop - self.base
+        if lo + n > len(self._state):
+            lo = self._compact(n)
+        if n == 1:  # a scalar submit: an item write is far cheaper than a slice's
+            self._version[lo] = version
+        else:
+            self.version[lo : lo + n] = version
+        self.stop += n
+        return self.stop - n
+
+    def _compact(self, n: int) -> int:
+        used = self.stop - self.base
+        live = self.state[:used] != _FREE
+        head = int(live.argmax()) if live.any() else used
+        keep = used - head
+        cap = len(self.state)
+        while 2 * (keep + n) > cap:
+            cap *= 2
+        columns = []
+        for col in (self.score, self.version, self.state):
+            new = col if cap == len(col) else np.zeros(cap, dtype=col.dtype)
+            new[:keep] = col[head:used]
+            columns.append(new)
+        self._bind(*columns)
+        self.state[keep:used] = _PENDING
+        self.base += head
+        return keep
+
+    def resolve(self, rids, scores, versions=None) -> None:
+        """Mark ``rids`` (one id or an id array) ready with ``scores``."""
+        idx = rids - self.base
+        self.score[idx] = scores
+        self.state[idx] = _READY
+        if versions is not None:
+            self.version[idx] = versions
+
+    def forget(self, rids: np.ndarray) -> None:
+        """Free pending ``rids`` whose batch failed: they never resolve."""
+        self.state[rids - self.base] = _FREE
+
+    def is_ready(self, rid: int) -> bool:
+        i = rid - self.base
+        return 0 <= i < self.stop - self.base and self._state[i] == _READY
+
+    def version_of(self, rid: int) -> int:
+        i = rid - self.base
+        if not (0 <= i < self.stop - self.base) or self._state[i] == _FREE:
+            raise KeyError(rid)
+        return self._version[i]
+
+    def take(self, rid: int) -> float:
+        i = rid - self.base
+        if not (0 <= i < self.stop - self.base) or self._state[i] != _READY:
+            raise KeyError(rid)
+        self._state[i] = _FREE
+        return self._score[i]
+
+    def take_block(self, rids: Sequence[int]) -> np.ndarray:
+        """Free ``rids`` and return their scores in order — all or
+        nothing: KeyError for the first id not ready, nothing freed."""
+        if isinstance(rids, range) and rids.step == 1 and (
+            self.base <= rids.start <= rids.stop <= self.stop
+        ):
+            idx = slice(rids.start - self.base, rids.stop - self.base)
+        else:
+            idx = np.asarray(rids, dtype=np.int64) - self.base
+            if not ((idx >= 0) & (idx < self.stop - self.base)).all():
+                raise KeyError(next(rid for rid in rids if not self.is_ready(rid)))
+        ready = self.state[idx] == _READY
+        if not ready.all():
+            raise KeyError(rids[int(ready.argmin())])
+        self.state[idx] = _FREE
+        return self.score[idx].copy()
+
+    def drain(self) -> list[tuple[int, int, float]]:
+        """Free every ready slot; ``(rid, version, score)`` in rid order."""
+        idx = np.flatnonzero(self.state[: self.stop - self.base] == _READY)
+        self.state[idx] = _FREE
+        return list(zip(
+            (idx + self.base).tolist(), self.version[idx].tolist(), self.score[idx].tolist()
+        ))
+
+
 class _PendingBlock:
     """One version's buffered requests, stored columnar.
 
-    A preallocated ``(cap, d)`` feature block plus an aligned request-id
-    vector, grown geometrically — the flush slices **one contiguous
-    array** instead of stacking a deque of per-row copies.  The block
-    object travels whole into the in-flight queue when dispatched (a
-    fresh block starts the next batch), so the view handed to the
-    backend can never alias rows appended later.
-
-    ``record`` / ``mixed`` are the fast-path bookkeeping: a block fed
-    only by ``submit_batch`` slices carries one :class:`_RidRange`
-    covering its (contiguous) ids, letting the reap skip per-rid dict
-    writes entirely; any scalar ``submit`` landing on the block flips
-    ``mixed`` and the reap degrades to exact per-rid accounting.
+    A preallocated ``(cap, d)`` feature block with aligned request-id
+    and submit-stamp columns, grown geometrically — the flush slices
+    **one contiguous array** instead of stacking a deque of per-row
+    copies, and the reap logs every row's latency from ``stamps`` in
+    one vector subtraction.  The block object travels whole into the
+    in-flight queue when dispatched (a fresh block starts the next
+    batch), so the view handed to the backend can never alias rows
+    appended later.
     """
 
-    __slots__ = ("rows", "rids", "n", "record", "mixed")
+    __slots__ = ("rows", "rids", "stamps", "n")
 
     def __init__(self, d: int, cap: int) -> None:
         cap = max(1, cap)
         self.rows = np.empty((cap, d), dtype=float)
         self.rids = np.empty(cap, dtype=np.int64)
+        self.stamps = np.empty(cap, dtype=float)
         self.n = 0
-        self.record: _RidRange | None = None
-        self.mixed = False
 
     def _grow_to(self, need: int) -> None:
         cap = self.rows.shape[0]
@@ -150,49 +275,29 @@ class _PendingBlock:
             return
         while cap < need:
             cap *= 2
-        self.rows = np.concatenate([self.rows, np.empty((cap - self.rows.shape[0], self.rows.shape[1]))])
-        self.rids = np.concatenate([self.rids, np.empty(cap - self.rids.shape[0], dtype=np.int64)])
+        extra = cap - self.rows.shape[0]
+        self.rows = np.concatenate([self.rows, np.empty((extra, self.rows.shape[1]))])
+        self.rids = np.concatenate([self.rids, np.empty(extra, dtype=np.int64)])
+        self.stamps = np.concatenate([self.stamps, np.empty(extra)])
 
-    def append(self, rid: int, row: np.ndarray) -> None:
-        if self.record is not None:
-            self.mixed = True
+    def append(self, rid: int, row: np.ndarray, stamp: float) -> None:
         self._grow_to(self.n + 1)
         self.rows[self.n] = row
         self.rids[self.n] = rid
+        self.stamps[self.n] = stamp
         self.n += 1
 
-    def append_block(self, rids: np.ndarray, block: np.ndarray) -> None:
+    def append_block(self, rid0: int, block: np.ndarray, stamp: float) -> None:
         take = block.shape[0]
         self._grow_to(self.n + take)
         self.rows[self.n : self.n + take] = block
-        self.rids[self.n : self.n + take] = rids
+        self.rids[self.n : self.n + take] = np.arange(rid0, rid0 + take)
+        self.stamps[self.n : self.n + take] = stamp
         self.n += take
 
     def view(self) -> np.ndarray:
         """The buffered rows as one contiguous slice (no copy)."""
         return self.rows[: self.n]
-
-
-class _RidRange:
-    """One contiguous run of fast-path request ids, bookkept as a range.
-
-    ``submit_batch``'s vectorised path never touches the per-rid dicts
-    on submit *or* on reap: the block's ids are ``[start, stop)``, the
-    version is single, the submit stamp is single, and once scored the
-    whole result array hangs off :attr:`scores`.  ``take_block`` then
-    pops an entire record in O(1); only callers probing individual ids
-    (``take``/``version_of``) force a lazy materialisation into the
-    dicts — pay-per-use, never on the block path.
-    """
-
-    __slots__ = ("start", "stop", "version_id", "scores", "submitted_at")
-
-    def __init__(self, start: int, stop: int, version_id: int, submitted_at: float | None) -> None:
-        self.start = start
-        self.stop = stop
-        self.version_id = version_id
-        self.scores: np.ndarray | None = None
-        self.submitted_at = submitted_at
 
 
 @dataclass
@@ -354,16 +459,9 @@ class ScoringEngine:
         # by a done-callback, so async batches measure true completion
         # rather than whenever the caller happens to reap)
         self._inflight: deque[tuple[object, int, _PendingBlock, dict]] = deque()
-        self._ready: dict[int, float] = {}
-        # fast-path id runs (pending, in-flight, or scored), oldest
-        # first; scan is linear but the list holds one entry per
-        # undrained submit_batch block, not per request
-        self._ranges: list[_RidRange] = []
-        self._submitted_at: dict[int, float] = {}
-        # rid -> registry version whose score serves the request
-        # (cache hits included); alive from submit until take
-        self._version_by_rid: dict[int, int] = {}
-        self._next_id = 0
+        # every request from submit until take: score, serving version
+        # (cache hits included) and pending/ready state
+        self._table = _ResultTable()
         self.latency_log_size = latency_log_size
         #: submit→score latency (seconds) per request, when a clock is
         #: set (most recent ``latency_log_size`` entries)
@@ -409,45 +507,33 @@ class ScoringEngine:
         if self._deadlines is not None:
             self._deadlines.poll()
         row = np.ascontiguousarray(np.asarray(x_row, dtype=float).ravel())
-        rid = self._next_id
-        self._next_id += 1
         self._c_requests.inc()
         version = self.registry.route(key)
-        self._version_by_rid[rid] = version.version
         if self.cache_size > 0:
             hit = self._cache.get(version.version, row.tobytes())
             if hit is not None:
                 self._c_cache_hits.inc()
                 version.cache_hits += 1
-                self._ready[rid] = hit
+                rid = self._table.open(1, version.version)
+                self._table.resolve(rid, hit)
                 # deliberately NOT logged into ``latencies``: a cache
                 # replay costs nothing and would deflate the scored p95
                 return rid
         self._c_cache_misses.inc()
-        if self.clock is not None:
-            self._submitted_at[rid] = self.clock.now()
-        block = self._pending.get(version.version)
-        if block is None:
-            block = self._pending[version.version] = _PendingBlock(
-                row.shape[0], min(self.batch_size, 64)
-            )
-        block.append(rid, row)
-        self._n_pending += 1
-        self._g_queue.set(self._n_pending)
-        if self._n_pending == 1 and self._deadlines is not None:
-            self._deadlines.schedule_in(
-                _FLUSH_KEY, self.max_latency_ms / 1000.0, self._flush_on_deadline
-            )
-        if self._n_pending >= self.batch_size:
-            self.flush(reason="batch_full")
+        # buffer the row before opening its slot: a row of the wrong
+        # width raises here, and must not leave a slot pending forever
+        rid = self._table.stop
+        block = self._block(version.version, row.shape[0], 1)
+        block.append(rid, row, self.clock.now() if self.clock is not None else 0.0)
+        self._table.open(1, version.version)
+        self._buffered(1)
         return rid
 
     def submit_batch(
         self, x: np.ndarray, keys: "list[str | int] | None" = None
-    ) -> "list[int] | range":
-        """Enqueue a block of requests; returns their ids in row order
-        (a ``range`` on the fast path, a list otherwise — both are
-        sequences of ints; hand either to :meth:`take_block`).
+    ) -> range:
+        """Enqueue a block of requests; returns their ids, in row order,
+        as a ``range`` (hand it to :meth:`take_block`).
 
         Semantically **exactly** N :meth:`submit` calls — same scores,
         stats, cache hits, version attribution, flush counters, and
@@ -457,13 +543,13 @@ class ScoringEngine:
         take, which a single block stamp legitimately doesn't).  The
         difference is the constant factor: when the registry's routing
         is static (:attr:`~repro.serving.registry.ModelRegistry.
-        routing_is_static`) and the cache is off, the block takes a
-        vectorised fast path — one route call, one clock stamp,
-        C-level id bookkeeping, and rows landing in the columnar
+        routing_is_static`) and the cache is off, the block is
+        vectorised — one route call, one clock stamp, one result-table
+        slice per buffered slice, and rows landing in the columnar
         buffer as slab copies — which is what the ≥2M scores/s batched
         target is measured on.  With a cache or an active challenger
-        the rows fall back to the per-row loop (each row must probe /
-        draw exactly as ``submit`` would).
+        each row goes through :meth:`submit` (it must probe / draw
+        exactly as ``submit`` would); the ids are contiguous either way.
 
         Mid-block ``batch_size`` boundaries flush exactly as they
         would per-row, so flush counters and batch shapes are
@@ -475,21 +561,18 @@ class ScoringEngine:
         n = x.shape[0]
         if keys is not None and len(keys) != n:
             raise ValueError(f"got {len(keys)} keys for {n} rows")
+        rid0 = self._table.stop
         if n == 0:
-            return []
+            return range(rid0, rid0)
         if self.cache_size > 0 or not self.registry.routing_is_static:
             # per-row semantics genuinely needed: cache probes and RNG
             # routing must happen once per row, in order
-            if keys is None:
-                return [self.submit(x[i]) for i in range(n)]
-            return [self.submit(x[i], key=keys[i]) for i in range(n)]
-        # ---- vectorised fast path ----------------------------------
+            ids = [self.submit(x[i], key=None if keys is None else keys[i]) for i in range(n)]
+            return range(rid0, rid0 + len(ids))
         if self._deadlines is not None:
             self._deadlines.poll()
-        version = self.registry.route(None)  # static: champion, no RNG
-        vid = version.version
-        rid0 = self._next_id
-        now = self.clock.now() if self.clock is not None else None
+        vid = self.registry.route(None).version  # static: champion, no RNG
+        now = self.clock.now() if self.clock is not None else 0.0
         start = 0
         while start < n:
             # stop at every batch_size boundary exactly as the scalar
@@ -497,45 +580,34 @@ class ScoringEngine:
             # counters advance per slice, so a raising mid-block flush
             # leaves the rows after it uncounted, as N submits would
             take = min(max(self.batch_size - self._n_pending, 1), n - start)
-            slice_rid0 = rid0 + start
-            self._next_id += take
             self._c_requests.inc(take)
             self._c_cache_misses.inc(take)
-            block = self._pending.get(vid)
-            if block is None:
-                block = self._pending[vid] = _PendingBlock(
-                    x.shape[1], min(self.batch_size, max(take, 64))
-                )
-            rec = block.record
-            if rec is not None and not block.mixed and rec.stop == slice_rid0:
-                rec.stop += take  # same block, contiguous ids: extend
-            elif rec is None and not block.mixed and block.n == 0:
-                rec = block.record = _RidRange(slice_rid0, slice_rid0 + take, vid, now)
-                self._ranges.append(rec)
-            else:
-                # the block already holds scalar rows (or ids that are
-                # no longer contiguous) — bookkeep this slice per-rid
-                # so the reap's exact path covers everything
-                slice_ids = range(slice_rid0, slice_rid0 + take)
-                self._version_by_rid.update(zip(slice_ids, repeat(vid)))
-                if now is not None:
-                    self._submitted_at.update(zip(slice_ids, repeat(now)))
-                block.mixed = True
-            was_empty = self._n_pending == 0
-            block.append_block(
-                np.arange(slice_rid0, slice_rid0 + take, dtype=np.int64),
-                x[start : start + take],
-            )
-            self._n_pending += take
+            block = self._block(vid, x.shape[1], take)
+            block.append_block(self._table.stop, x[start : start + take], now)
+            self._table.open(take, vid)
             start += take
-            if was_empty and self._deadlines is not None:
-                self._deadlines.schedule_in(
-                    _FLUSH_KEY, self.max_latency_ms / 1000.0, self._flush_on_deadline
-                )
-            if self._n_pending >= self.batch_size:
-                self.flush(reason="batch_full")
-        self._g_queue.set(self._n_pending)
+            self._buffered(take)
         return range(rid0, rid0 + n)
+
+    def _block(self, version_id: int, d: int, take: int) -> _PendingBlock:
+        block = self._pending.get(version_id)
+        if block is None:
+            block = self._pending[version_id] = _PendingBlock(
+                d, min(self.batch_size, max(take, 64))
+            )
+        return block
+
+    def _buffered(self, take: int) -> None:
+        """Count ``take`` freshly buffered rows: arm the deadline when
+        they start the batch, flush when they fill it."""
+        self._n_pending += take
+        self._g_queue.set(self._n_pending)
+        if self._n_pending == take and self._deadlines is not None:
+            self._deadlines.schedule_in(
+                _FLUSH_KEY, self.max_latency_ms / 1000.0, self._flush_on_deadline
+            )
+        if self._n_pending >= self.batch_size:
+            self.flush(reason="batch_full")
 
     def _flush_on_deadline(self) -> None:
         self.flush(reason="deadline")
@@ -606,7 +678,7 @@ class ScoringEngine:
         return dispatched
 
     def _reap(self, wait: bool) -> None:
-        """Collect finished backend futures into ``_ready`` (dispatch order).
+        """Land finished backend futures in the result table (dispatch order).
 
         ``wait=True`` blocks until every in-flight batch has resolved.
         A failed batch re-raises here and is dropped; later in-flight
@@ -618,6 +690,7 @@ class ScoringEngine:
                 break
             self._inflight.popleft()
             nb = batch.n
+            rids = batch.rids[:nb]
             try:
                 scores = np.asarray(
                     future.result(), dtype=float  # type: ignore[attr-defined]
@@ -627,67 +700,25 @@ class ScoringEngine:
                         f"policy returned {scores.shape[0]} scores for {nb} rows"
                     )
             except BaseException:
-                # the failed batch is dropped whole — forget its stamps,
-                # its version attribution, and its id run (those ids
-                # never resolve)
-                if batch.record is not None:
-                    try:
-                        self._ranges.remove(batch.record)
-                    # idempotent cleanup: the range may have been reaped
-                    # concurrently; nothing was lost, so nothing to record
-                    except ValueError:  # pragma: no cover - already gone  # repro: allow[RPR007]
-                        pass
-                for rid in batch.rids[:nb].tolist():
-                    self._submitted_at.pop(rid, None)
-                    self._version_by_rid.pop(rid, None)
+                # the failed batch is dropped whole: its ids never resolve
+                self._table.forget(rids)
                 raise
             self._c_model_calls.inc()
             self._c_rows_scored.inc(nb)
             # the model really scored these rows — credit the version
             # (cache hits were credited separately at submit)
             self.registry.get(version_id).requests += nb
+            self._table.resolve(rids, scores)
             if self.clock is not None:
                 # scoring-completion time from the done-callback; the
                 # tiny race where done() flips before callbacks run
                 # falls back to the reap time
                 now = done_stamp.get("at", self.clock.now())
-            else:
-                now = None
-            rec = batch.record
-            if rec is not None and not batch.mixed and now is None and self.cache_size <= 0:
-                # pure fast-path block: the scores array *is* the
-                # bookkeeping — O(1) reap, served by take_block (or
-                # lazily materialised if someone probes single ids)
-                rec.scores = scores
-            elif now is None and self.cache_size <= 0:
-                # nothing per-row to book — land the whole batch in one
-                # C-level update
-                if rec is not None:
-                    self._ranges.remove(rec)
-                    self._version_by_rid.update(
-                        zip(batch.rids[:nb].tolist(), repeat(version_id))
-                    )
-                self._ready.update(zip(batch.rids[:nb].tolist(), scores.tolist()))
-            else:
-                fallback = rec.submitted_at if rec is not None else None
-                if rec is not None:
-                    # degrade to exact per-rid accounting (clock and/or
-                    # cache writes need every row anyway)
-                    self._ranges.remove(rec)
-                    self._version_by_rid.update(
-                        zip(batch.rids[:nb].tolist(), repeat(version_id))
-                    )
-                rows = batch.rows
-                for i, rid in enumerate(batch.rids[:nb].tolist()):
-                    score = float(scores[i])
-                    self._ready[rid] = score
-                    if now is not None:
-                        sub = self._submitted_at.pop(
-                            rid, fallback if fallback is not None else now
-                        )
-                        self._log_latency(now - sub)
-                    if self.cache_size > 0:
-                        self._cache.put(version_id, rows[i].tobytes(), score)
+                for seconds in (now - batch.stamps[:nb]).tolist():
+                    self._log_latency(seconds)
+            if self.cache_size > 0:
+                for row, score in zip(batch.rows[:nb], scores.tolist()):
+                    self._cache.put(version_id, row.tobytes(), score)
 
     def _log_latency(self, seconds: float) -> None:
         # the sketch sees everything (bounded memory, no eviction) —
@@ -757,10 +788,7 @@ class ScoringEngine:
             self._deadlines.poll()
         if self._inflight:
             self._reap(wait=False)
-        if request_id in self._ready:
-            return True
-        rec = self._find_range(request_id)
-        return rec is not None and rec.scores is not None
+        return self._table.is_ready(request_id)
 
     def version_of(self, request_id: int) -> int:
         """Registry version id whose score serves this request.
@@ -771,80 +799,31 @@ class ScoringEngine:
         *before* :meth:`take` — outcome attribution needs to know which
         model's score drove the decision being realised.
         """
-        version = self._version_by_rid.get(request_id)
-        if version is not None:
-            return version
-        rec = self._find_range(request_id)
-        if rec is not None:
-            return rec.version_id
-        return self._version_by_rid[request_id]  # KeyError with the rid
-
-    def _find_range(self, rid: int) -> _RidRange | None:
-        for rec in self._ranges:
-            if rec.start <= rid < rec.stop:
-                return rec
-        return None
-
-    def _materialize(self, rec: _RidRange) -> None:
-        """Expand one scored fast-path run into the per-rid dicts (the
-        price of probing block results id-by-id; ``take_block`` never
-        pays it)."""
-        ids = range(rec.start, rec.stop)
-        self._ready.update(zip(ids, rec.scores.tolist()))
-        self._version_by_rid.update(zip(ids, repeat(rec.version_id)))
-        self._ranges.remove(rec)
+        return self._table.version_of(request_id)
 
     def take(self, request_id: int) -> float:
         """Pop a finished score (KeyError when still pending/unknown)."""
-        if request_id not in self._ready:
+        try:
+            return self._table.take(request_id)
+        except KeyError:  # not ready yet: advance the engine, then retry
             if self._deadlines is not None:
                 self._deadlines.poll()
             if self._inflight:
                 self._reap(wait=False)
-            if request_id not in self._ready:
-                rec = self._find_range(request_id)
-                if rec is not None and rec.scores is not None:
-                    self._materialize(rec)
-        score = self._ready.pop(request_id)
-        self._version_by_rid.pop(request_id, None)
-        return score
+        return self._table.take(request_id)
 
-    def take_block(self, rids: "list[int] | range") -> np.ndarray:
+    def take_block(self, rids: Sequence[int]) -> np.ndarray:
         """Pop a whole ``submit_batch`` worth of scores as one array.
 
-        The bulk companion to :meth:`take`: hand back exactly what
-        ``submit_batch`` returned and the scores come out in row
-        order.  When the ids are a fast-path run whose records tile
-        the span, this is O(1) per dispatched block (array slices, no
-        per-rid dicts); any other id sequence falls back to per-rid
-        :meth:`take` calls — same result, scalar cost.
+        The bulk companion to :meth:`take`: hand back the ``range``
+        ``submit_batch`` returned and the scores come out in row order,
+        read from the result table as one slice (any other id sequence
+        is one fancy-indexed read).  All or nothing: when any id is
+        still pending or unknown, KeyError names the first such id and
+        no score is popped.
         """
-        n = len(rids)
-        if n == 0:
-            return np.empty(0, dtype=float)
         self.poll()
-        start, stop = int(rids[0]), int(rids[-1]) + 1
-        if stop - start == n:
-            recs = sorted(
-                (
-                    r
-                    for r in self._ranges
-                    if r.start >= start and r.stop <= stop and r.scores is not None
-                ),
-                key=lambda r: r.start,
-            )
-            if (
-                recs
-                and recs[0].start == start
-                and recs[-1].stop == stop
-                and all(a.stop == b.start for a, b in zip(recs, recs[1:]))
-            ):
-                for rec in recs:
-                    self._ranges.remove(rec)
-                if len(recs) == 1:
-                    return recs[0].scores
-                return np.concatenate([rec.scores for rec in recs])
-        return np.array([self.take(rid) for rid in rids], dtype=float)
+        return self._table.take_block(rids)
 
     def drain(self) -> list[tuple[int, int, float]]:
         """Pop every finished result as ``(request_id, version_id, score)``.
@@ -856,13 +835,7 @@ class ScoringEngine:
         one call instead of probing ids one by one.
         """
         self.poll()
-        for rec in [r for r in self._ranges if r.scores is not None]:
-            self._materialize(rec)
-        out = []
-        for rid in sorted(self._ready):
-            score = self._ready.pop(rid)
-            out.append((rid, self._version_by_rid.pop(rid, -1), score))
-        return out
+        return self._table.drain()
 
     def core(self) -> EngineCore:
         """This engine's picklable per-shard core (see :class:`EngineCore`).
@@ -881,7 +854,7 @@ class ScoringEngine:
     def score(self, x_row: np.ndarray, key: str | int | None = None) -> float:
         """Synchronous convenience path: submit, force a flush, return."""
         rid = self.submit(x_row, key=key)
-        if rid not in self._ready:
+        if not self._table.is_ready(rid):
             self.flush()
             self.join()
         return self.take(rid)

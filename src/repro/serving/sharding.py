@@ -72,7 +72,7 @@ from repro.runtime import (
     SharedTensorPool,
     SystemClock,
 )
-from repro.serving.engine import EngineCore, ScoringEngine, _STAT_NAMES
+from repro.serving.engine import _STAT_NAMES, EngineCore, ScoringEngine, _ResultTable
 from repro.serving.pacing import BudgetPacer
 from repro.serving.policy import DecisionPolicy, GreedyROIPolicy
 from repro.serving.registry import ModelRegistry
@@ -477,11 +477,11 @@ class ShardedScoringEngine:
         self._fleet_id = next(_FLEET_IDS)
         self._closed = False
 
-        # request plumbing: parent ids, per-shard local-id mirrors, buffers
-        self._next_rid = 0
+        # request plumbing: fleet results (the engine's result table;
+        # versions arrive with the scores), per-shard local-id mirrors,
+        # buffers
+        self._table = _ResultTable()
         self._rr = 0  # keyless round-robin cursor
-        self._ready: dict[int, float] = {}
-        self._version_by_rid: dict[int, int] = {}
         self._next_local = [0] * self.n_shards
         self._rid_map: list[dict[int, int]] = [{} for _ in range(self.n_shards)]
         self._buf_rows: list[list[np.ndarray]] = [[] for _ in range(self.n_shards)]
@@ -561,8 +561,7 @@ class ShardedScoringEngine:
         """Enqueue one request on its shard; returns the fleet request id."""
         self._maybe_sync()
         row = np.ascontiguousarray(np.asarray(x_row, dtype=float).ravel())
-        rid = self._next_rid
-        self._next_rid += 1
+        rid = self._table.open(1)
         shard = self.shard_of(key)
         self._buf_rows[shard].append(row)
         self._buf_keys[shard].append(key)
@@ -593,8 +592,7 @@ class ShardedScoringEngine:
         n = x.shape[0]
         if keys is not None and len(keys) != n:
             raise ValueError(f"got {n} rows but {len(keys)} keys")
-        rid0 = self._next_rid
-        self._next_rid += n
+        rid0 = self._table.open(n)
         if n == 0:
             return range(rid0, rid0)
         if keys is None:
@@ -667,37 +665,33 @@ class ShardedScoringEngine:
 
     def has_result(self, request_id: int) -> bool:
         """True once the request's score is available (advances the fleet)."""
-        if request_id in self._ready:
+        if self._table.is_ready(request_id):
             return True
         self.poll()
-        return request_id in self._ready
+        return self._table.is_ready(request_id)
 
     def version_of(self, request_id: int) -> int:
         """Registry version id whose score serves this request (valid
         once the result is ready, until it is taken)."""
-        return self._version_by_rid[request_id]
+        if not self._table.is_ready(request_id):
+            raise KeyError(request_id)
+        return self._table.version_of(request_id)
 
     def take(self, request_id: int) -> float:
         """Pop a finished score (KeyError when still pending/unknown)."""
-        if request_id not in self._ready:
+        if not self._table.is_ready(request_id):
             self._reap(wait=False)
-        score = self._ready.pop(request_id)
-        self._version_by_rid.pop(request_id, None)
-        return score
+        return self._table.take(request_id)
 
     def drain(self) -> list[tuple[int, int, float]]:
         """Pop every finished result as ``(request_id, version_id, score)``."""
         self.poll()
-        out = []
-        for rid in sorted(self._ready):
-            score = self._ready.pop(rid)
-            out.append((rid, self._version_by_rid.pop(rid, -1), score))
-        return out
+        return self._table.drain()
 
     def score(self, x_row: np.ndarray, key: str | int | None = None) -> float:
         """Synchronous convenience path: submit, flush, return."""
         rid = self.submit(x_row, key=key)
-        if rid not in self._ready:
+        if not self._table.is_ready(rid):
             self.flush()
         return self.take(rid)
 
@@ -956,12 +950,15 @@ class ShardedScoringEngine:
 
     def _absorb(self, shard: int, drained: Sequence[tuple[int, int, float]]) -> None:
         mapping = self._rid_map[shard]
-        for local, version, score in drained:
-            rid = mapping.pop(local, None)
-            if rid is None:
-                continue  # already surfaced through another op's drain
-            self._ready[rid] = score
-            self._version_by_rid[rid] = version
+        landed = [
+            (rid, version, score)
+            for local, version, score in drained
+            # None: already surfaced through another op's drain
+            if (rid := mapping.pop(int(local), None)) is not None
+        ]
+        if landed:
+            rids, versions, scores = zip(*landed)
+            self._table.resolve(np.array(rids), scores, versions)
 
     def _absorb_ring(self, shard: int, start: int, k: int) -> None:
         """Read ``k`` results the worker parked in the shared ring.
@@ -969,15 +966,8 @@ class ShardedScoringEngine:
         Safe without locks: the feed's future resolved, so the worker
         finished writing; and the worker never writes past our consumed
         cursor + ring size, so these slots were not overwritten."""
-        ring = self._rings[shard]
         idx = (start + np.arange(k)) % self._ring_slots
-        mapping = self._rid_map[shard]
-        for local, version, score in ring.array[idx].tolist():
-            rid = mapping.pop(int(local), None)
-            if rid is None:
-                continue
-            self._ready[rid] = score
-            self._version_by_rid[rid] = int(version)
+        self._absorb(shard, self._rings[shard].array[idx].tolist())
         self._ring_consumed[shard] = start + k
 
     def _reap(self, wait: bool) -> None:

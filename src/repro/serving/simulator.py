@@ -74,7 +74,7 @@ class ReplayResult:
     only the newest requests and ``latencies_dropped`` counts this
     replay's evicted entries.  Quantiles therefore come from
     ``latency_hist`` — the engine's log-bucket sketch delta, which saw
-    every request of the replay — whenever it is available.
+    every request of the replay.
     """
 
     n_events: int
@@ -109,11 +109,9 @@ class ReplayResult:
         request) so the answer stays unbiased even when the engine's
         ``latency_log_size`` cap evicted part of :attr:`latencies`.
         """
-        if self.latency_hist is not None and self.latency_hist.count > 0:
-            return self.latency_hist.quantile(q)
-        if self.latencies is None or self.latencies.size == 0:
+        if self.latency_hist is None or self.latency_hist.count == 0:
             raise ValueError("no latencies recorded — run with a clocked engine")
-        return float(np.quantile(self.latencies, q))
+        return self.latency_hist.quantile(q)
 
     def summary(self) -> dict:
         """Headline numbers for logs and examples."""

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.ab.platform import Platform
 from repro.core.roi_star import bisect_monotone
 from repro.runtime import ManualClock, SerialBackend, ThreadBackend
-from repro.serving.engine import ScoringEngine
+from repro.serving.engine import ScoringEngine, _ResultTable
 from repro.serving.pacing import BudgetPacer, MultiDayPacer
 from repro.serving.policy import ConformalGatedPolicy
 from repro.serving.registry import ModelRegistry
@@ -453,7 +454,8 @@ class TestScoringEngine:
             engine.submit(row)
         assert len(engine.latencies) <= 100  # 2x cap before compaction
         assert engine.latencies_dropped + len(engine.latencies) == 200
-        assert engine._submitted_at == {}  # every stamp consumed
+        assert len(engine.drain()) == 200
+        assert len(engine._table) == 0  # every request resolved and taken
 
     def test_score_count_mismatch_does_not_leak_stamps(self, rng):
         class WrongShape:
@@ -466,7 +468,21 @@ class TestScoringEngine:
         engine.submit(rng.normal(size=3))
         with pytest.raises(ValueError, match="scores"):
             engine.submit(rng.normal(size=3))  # auto-flush hits the mismatch
-        assert engine._submitted_at == {}  # dropped batch forgot its stamps
+        assert len(engine._table) == 0  # dropped batch forgot its requests
+
+    def test_wrong_width_row_leaves_no_pending_slot(self, rng):
+        """A row whose width disagrees with its version's buffer raises
+        at submit and never holds a result slot, so the result table
+        still empties once every accepted request is taken."""
+        engine = ScoringEngine(LinearROI(np.zeros(3)), batch_size=4, cache_size=0)
+        rid = engine.submit(rng.normal(size=3))
+        with pytest.raises(ValueError):
+            engine.submit(rng.normal(size=4))
+        with pytest.raises(ValueError):
+            engine.submit_batch(rng.normal(size=(2, 4)))
+        engine.flush()
+        engine.take(rid)
+        assert len(engine._table) == 0
 
     def test_version_of_attributes_scored_and_cached_requests(self, rng):
         """Outcome attribution needs the version whose score serves each
@@ -511,7 +527,7 @@ class TestScoringEngine:
             engine.submit(rng.normal(size=3))  # auto-flush fails
         with pytest.raises(KeyError):
             engine.version_of(rid)  # dropped with its batch
-        assert engine._version_by_rid == {}
+        assert len(engine._table) == 0
 
     def test_submit_batch_raising_flush_counts_like_scalar_submits(self, rng):
         """A mid-block flush that raises stops the block where N
@@ -833,7 +849,7 @@ class TestSubmitBatch:
         batch = self._engine(cache_size=64)
         scalar = self._engine(cache_size=64)
         ids = batch.submit_batch(rows)
-        assert isinstance(ids, list)  # per-row path engaged
+        assert isinstance(ids, range)  # contiguous ids on the per-row path too
         ref_ids = [scalar.submit(row) for row in rows]
         batch.flush()
         scalar.flush()
@@ -907,8 +923,209 @@ class TestSubmitBatch:
             engine.submit_batch(np.zeros(6))
         with pytest.raises(ValueError, match="keys"):
             engine.submit_batch(np.zeros((3, 6)), keys=["a"])
-        assert engine.submit_batch(np.empty((0, 6))) == []
+        assert engine.submit_batch(np.empty((0, 6))) == range(0)
         assert engine.stats["requests"] == 0
+
+    @pytest.mark.parametrize("cache_size", [0, 16])
+    def test_take_block_is_all_or_nothing(self, cache_size):
+        """A ``take_block`` over ids that are not all scored raises
+        KeyError for the first unresolved id and pops nothing, so the
+        same call after the flush returns every score."""
+        rows = self._rows(10)
+        batch = ScoringEngine(LinearROI(self.W), batch_size=4, cache_size=cache_size)
+        scalar = ScoringEngine(LinearROI(self.W), batch_size=4, cache_size=cache_size)
+        ids = batch.submit_batch(rows)
+        with pytest.raises(KeyError) as err:
+            batch.take_block(ids)  # rows 8 and 9 are still buffered
+        assert err.value.args == (8,)
+        ref_ids = [scalar.submit(row) for row in rows]
+        batch.flush()
+        scalar.flush()
+        got = batch.take_block(ids)
+        np.testing.assert_array_equal(got, [scalar.take(rid) for rid in ref_ids])
+
+
+# ---------------------------------------------------------------------------
+# the engine against a reference: a Hypothesis state machine
+# ---------------------------------------------------------------------------
+class RowwiseROI:
+    """Stub scorer whose score of a row never depends on its batch
+    (elementwise arithmetic only), so a batched score is bit-identical
+    to the same model scoring the row alone."""
+
+    def __init__(self, slope: float) -> None:
+        self.slope = slope
+
+    def predict_roi(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(x)
+        return np.clip(0.5 + self.slope * x[:, 0] - 0.05 * x[:, 1], 0.0, 1.0)
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """Drives one :class:`ScoringEngine` through random interleavings of
+    its request API and checks every answer against a reference: the
+    set of submitted ids and the registry's models scoring each row
+    alone.  Each id must resolve exactly once, to the score of the
+    version ``version_of`` names."""
+
+    ROWS = np.random.default_rng(7).normal(size=(5, 3))  # few rows: cache hits
+
+    @initialize(
+        threaded=st.booleans(),
+        cache=st.booleans(),
+        challenger=st.booleans(),
+        deadline=st.booleans(),
+        batch_size=st.integers(1, 5),
+    )
+    def build(self, threaded, cache, challenger, deadline, batch_size):
+        registry = ModelRegistry(traffic_split=0.4 if challenger else 0.0, random_state=3)
+        registry.register(RowwiseROI(0.1), promote=True)
+        registry.register(RowwiseROI(-0.2))
+        self.clock = ManualClock() if deadline else None
+        self.backend = ThreadBackend(n_workers=2) if threaded else SerialBackend()
+        self.engine = ScoringEngine(
+            registry,
+            batch_size=batch_size,
+            cache_size=8 if cache else 0,
+            max_latency_ms=5.0 if deadline else None,
+            clock=self.clock,
+            backend=self.backend,
+        )
+        # a tiny result table, so that short runs compact and grow it
+        self.engine._table = _ResultTable(cap=2)
+        self.row_of: dict[int, int] = {}  # rid -> row index, every submit
+        self.resolved: set[int] = set()
+
+    def teardown(self):
+        engine = getattr(self, "engine", None)
+        if engine is None:
+            return
+        try:
+            engine.flush()
+            engine.join()
+            self._check_drained(engine.drain())
+            assert engine.n_pending == 0 and engine.n_inflight == 0
+            assert self.resolved == set(self.row_of)  # every id resolved once
+            assert len(engine._table) == 0
+        finally:
+            self.backend.shutdown()
+
+    # ---- reference checks -------------------------------------------
+    def _outstanding(self) -> list[int]:
+        return sorted(set(self.row_of) - self.resolved)
+
+    def _check_resolved(self, rid: int, version: int, score: float) -> None:
+        assert rid in self.row_of and rid not in self.resolved
+        self.resolved.add(rid)
+        model = self.engine.registry.get(version).model
+        expected = model.predict_roi(self.ROWS[self.row_of[rid]])[0]
+        assert score == expected
+
+    def _check_drained(self, drained) -> None:
+        rids = [rid for rid, _version, _score in drained]
+        assert rids == sorted(rids)
+        for rid, version, score in drained:
+            self._check_resolved(rid, version, score)
+
+    # ---- rules ------------------------------------------------------
+    @rule(row=st.integers(0, 4), key=st.none() | st.integers(0, 9))
+    def submit(self, row, key):
+        rid = self.engine.submit(self.ROWS[row], key=key)
+        assert rid == len(self.row_of)  # ids are issued contiguously
+        self.row_of[rid] = row
+
+    @rule(rows=st.lists(st.integers(0, 4), max_size=7), keyed=st.booleans())
+    def submit_batch(self, rows, keyed):
+        keys = list(range(len(rows))) if keyed else None
+        ids = self.engine.submit_batch(self.ROWS[rows].reshape(len(rows), 3), keys=keys)
+        assert ids == range(len(self.row_of), len(self.row_of) + len(rows))
+        self.row_of.update(zip(ids, rows))
+
+    @rule()
+    def flush(self):
+        self.engine.flush()
+
+    @rule()
+    def poll(self):
+        self.engine.poll()
+
+    @rule(ms=st.sampled_from([1.0, 4.0, 6.0]))
+    def advance_clock(self, ms):
+        if self.clock is not None:
+            self.clock.advance(ms / 1000.0)
+
+    @rule(data=st.data())
+    def take(self, data):
+        outstanding = self._outstanding()
+        if not outstanding:
+            return
+        rid = data.draw(st.sampled_from(outstanding))
+        version = self.engine.version_of(rid)  # valid until taken
+        try:
+            score = self.engine.take(rid)
+        except KeyError:  # still pending: nothing popped
+            assert self.engine.version_of(rid) == version
+            return
+        self._check_resolved(rid, version, score)
+
+    @rule(data=st.data())
+    def take_resolved_again(self, data):
+        if not self.resolved:
+            return
+        rid = data.draw(st.sampled_from(sorted(self.resolved)))
+        with pytest.raises(KeyError):
+            self.engine.take(rid)
+        with pytest.raises(KeyError):
+            self.engine.version_of(rid)
+
+    @rule(data=st.data(), as_range=st.booleans())
+    def take_block(self, data, as_range):
+        outstanding = self._outstanding()
+        if not outstanding:
+            return
+        if as_range:
+            lo = data.draw(st.sampled_from(outstanding))
+            hi = data.draw(st.integers(lo, len(self.row_of)))
+            rids = range(lo, hi)
+        else:
+            rids = data.draw(st.lists(st.sampled_from(outstanding), unique=True, max_size=6))
+        if any(rid in self.resolved for rid in rids):
+            return  # a range may straddle ids already taken
+        versions = [self.engine.version_of(rid) for rid in rids]
+        try:
+            scores = self.engine.take_block(rids)
+        except KeyError as err:
+            assert err.args[0] in rids
+            # all or nothing: once everything is scored, the same block
+            # still holds every score
+            self.engine.flush()
+            self.engine.join()
+            scores = self.engine.take_block(rids)
+        assert len(scores) == len(rids)
+        for rid, version, score in zip(rids, versions, scores.tolist()):
+            self._check_resolved(rid, version, score)
+
+    @rule(data=st.data())
+    def version_of(self, data):
+        outstanding = self._outstanding()
+        if outstanding:
+            rid = data.draw(st.sampled_from(outstanding))
+            assert self.engine.version_of(rid) in (1, 2)
+
+    @rule()
+    def drain(self):
+        self._check_drained(self.engine.drain())
+
+    @invariant()
+    def nothing_lost(self):
+        if hasattr(self, "engine"):
+            assert len(self.engine._table) == len(self.row_of) - len(self.resolved)
+
+
+TestEngineMachine = EngineMachine.TestCase
+TestEngineMachine.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
 
 
 # ---------------------------------------------------------------------------
