@@ -5,8 +5,9 @@ The paper's claims, reproduced empirically:
 * Training phase: identical (rDRP *is* DRP at train time).
 * Calibration phase: rDRP-only, O(N_cali (k + log N_cali)) — the bench
   shows near-linear scaling in the calibration size.
-* Inference phase: rDRP costs ~T MC passes per sample vs 1 for DRP
-  (parallelisable in production).
+* Inference phase: rDRP costs T MC passes per sample vs 1 for DRP
+  (parallelisable in production); the layers before the dropout run
+  once per call, so each MC pass costs less than a full forward pass.
 """
 
 from __future__ import annotations
@@ -53,22 +54,32 @@ def test_calibration_phase_scaling(benchmark) -> None:
     }
 
 
+def _best_of(fn, repeats: int = 5) -> float:
+    """Fastest of ``repeats`` wall-clock runs of ``fn()``.
+
+    A single timing of a ~10 ms call swings 2x on a shared machine; the
+    fastest of a few is steady enough to gate the inference ratio.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_inference_phase_overhead(benchmark) -> None:
-    """rDRP inference ~= T MC passes; DRP inference = 1 pass."""
+    """rDRP inference: T MC passes, but each network's layers before its
+    dropout run once per call; DRP inference = 1 pass per restart."""
 
     def run() -> dict[str, float]:
         data = get_setting("criteo", "SuNo")
         model = get_rdrp("criteo", "SuNo")
         x = data.test.x
-
-        start = time.perf_counter()
-        model.drp.predict_roi(x)
-        drp_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        model.predict_roi(x)
-        rdrp_seconds = time.perf_counter() - start
-        return {"DRP": drp_seconds, "rDRP": rdrp_seconds}
+        return {
+            "DRP": _best_of(lambda: model.drp.predict_roi(x)),
+            "rDRP": _best_of(lambda: model.predict_roi(x)),
+        }
 
     timings = benchmark.pedantic(run, rounds=1, iterations=1)
     print_header("§IV-D — inference phase (seconds, full test split)")
@@ -76,12 +87,15 @@ def test_inference_phase_overhead(benchmark) -> None:
     for name, seconds in timings.items():
         print(f"  {name:<6s} {seconds * 1000:8.1f} ms")
     print(f"  ratio rDRP/DRP = {ratio:.1f}x (T = {MC_SAMPLES} MC passes)")
-    # the overhead should be on the order of T single passes (loose bound)
-    assert ratio < MC_SAMPLES * 6
+    # a full-stack pass per MC sample read 7.6-11x (T = 20, 2 CPUs);
+    # running only the layers from the dropout on per pass reads 3.6-4.2x
+    assert ratio < MC_SAMPLES / 3
     _METRICS["inference_ratio_rdrp_drp"] = {
         "value": ratio,
         "unit": "x",
         "direction": "lower",
+        "gated": True,
+        "tolerance": 0.5,
     }
 
 
@@ -114,8 +128,8 @@ def test_training_phase_identical(benchmark, smoke) -> None:
 
     # the train-phase ratio is pinned near 1 by construction, so it is
     # machine-portable enough to gate (at the same loose band the
-    # assertion above uses); wall-clock ratios from the earlier phase
-    # tests ride along ungated
+    # assertion above uses); the calibration scaling ratio rides along
+    # ungated
     _METRICS["training_ratio_rdrp_drp"] = {
         "value": timings["rDRP"] / max(timings["DRP"], 1e-9),
         "unit": "x",

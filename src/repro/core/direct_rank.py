@@ -171,7 +171,7 @@ class DirectRank(TrainableModel):
         """MC-dropout mean/std of ``σ(ŝ)`` — the 'DR w/ MC' ablation arm."""
         x = self._checked(x)
         return mc_dropout_statistics(
-            self.network_.forward_stochastic,
+            self.network_,
             x,
             n_samples=n_samples,
             transform=sigmoid,

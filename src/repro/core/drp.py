@@ -22,6 +22,7 @@ import numpy as np
 from repro.causal.base import TrainableModel
 
 from repro.nn.activations import sigmoid, softplus
+from repro.nn.mc_dropout import mc_dropout_statistics
 from repro.nn.network import Network, TrainingHistory, mlp
 from repro.nn.optimizers import Adam
 from repro.utils.rng import as_generator
@@ -248,16 +249,13 @@ class DRPModel(TrainableModel):
 
         Runs ``n_samples`` stochastic passes distributed round-robin
         over the restart ensemble and returns ``(mean, r(x))``; ``r(x)``
-        is floored so Eq. 3's division stays finite.
+        is floored at ``std_floor > 0`` so Eq. 3's division stays finite.
         """
         x = self._checked(x)
-        if n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-        draws = []
-        for i in range(n_samples):
-            network = self.networks_[i % len(self.networks_)]
-            draws.append(sigmoid(network.forward_stochastic(x)[:, 0]))
-        stacked = np.stack(draws, axis=0)
-        mean = stacked.mean(axis=0)
-        std = np.maximum(stacked.std(axis=0, ddof=1), std_floor)
-        return mean, std
+        return mc_dropout_statistics(
+            self.networks_,
+            x,
+            n_samples=n_samples,
+            transform=sigmoid,
+            std_floor=std_floor,
+        )

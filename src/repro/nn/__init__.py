@@ -15,8 +15,10 @@ Design notes
 * Losses return ``(value, grad_wrt_predictions)`` so composite causal
   losses (Eq. 2 of the paper, DragonNet's targeted regularisation, the
   Direct Rank ratio loss) plug in uniformly.
-* ``MCDropoutPredictor`` keeps dropout active at inference to produce
-  the per-sample std ``r(x)`` used by the rDRP conformal score.
+* ``mc_dropout_statistics`` keeps dropout active at inference to produce
+  the per-sample std ``r(x)`` used by the rDRP conformal score; it runs
+  the layers before a network's first dropout once per call and the
+  rest once per pass.  ``MCDropoutPredictor`` binds it to one network.
 """
 
 from repro.nn.activations import (

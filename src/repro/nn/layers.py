@@ -127,10 +127,11 @@ class Dropout(Layer):
     """Inverted dropout.
 
     During training, each unit is kept with probability ``1 - rate`` and
-    scaled by ``1/(1-rate)``.  During plain inference the layer is the
-    identity, but :class:`repro.nn.mc_dropout.MCDropoutPredictor` forces
-    ``training=True`` paths to realise Gal & Ghahramani's Bayesian
-    approximation — the mechanism rDRP uses for ``r(x)``.
+    scaled by ``1/(1-rate)``; the mask is kept for :meth:`backward`.
+    During plain inference the layer is the identity.  :meth:`sample`
+    applies a fresh mask at inference without keeping it, realising Gal
+    & Ghahramani's Bayesian approximation — the mechanism rDRP uses for
+    ``r(x)`` through :func:`repro.nn.mc_dropout.mc_dropout_statistics`.
     """
 
     def __init__(self, rate: float, rng: int | np.random.Generator | None = None) -> None:
@@ -145,14 +146,30 @@ class Dropout(Layer):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
+        self._mask = self._draw_mask(x.shape)
         return x * self._mask
+
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        """``x`` times a fresh mask, keeping no state (one MC-dropout draw)."""
+        x = np.asarray(x, dtype=float)
+        if self.rate == 0.0:
+            return x
+        return x * self._draw_mask(x.shape)
+
+    def _draw_mask(self, shape: tuple[int, ...]) -> np.ndarray:
+        keep = 1.0 - self.rate
+        return (self._rng.random(shape) < keep) / keep
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
+
+    def __getstate__(self) -> dict:
+        # a training mask is one batch's backprop cache, not model state
+        state = self.__dict__.copy()
+        state["_mask"] = None
+        return state
 
 
 class Activation(Layer):

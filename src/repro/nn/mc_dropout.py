@@ -5,21 +5,34 @@ estimate without retraining or ensembling (§IV-C2 of the paper).  MC
 dropout provides it: run ``T`` stochastic forward passes with dropout
 masks *active at inference* and take the empirical mean/std of the
 transformed outputs.
+
+:func:`mc_dropout_statistics` is the one MC-dropout loop; every model
+that reports ``r(x)`` calls it.  The layers before a network's first
+:class:`~repro.nn.layers.Dropout` do not depend on the mask, so they
+run once per call; only the rest of the stack runs once per pass.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.nn.layers import Dropout
 from repro.nn.network import Network
 
 __all__ = ["mc_dropout_statistics", "MCDropoutPredictor"]
 
 
+def _split_at_first_dropout(network: Network) -> tuple[Network, Network]:
+    """``(head, tail)``: the layers before the first Dropout, and the rest."""
+    layers = network.layers
+    k = next((i for i, layer in enumerate(layers) if isinstance(layer, Dropout)), len(layers))
+    return Network(layers[:k]), Network(layers[k:])
+
+
 def mc_dropout_statistics(
-    stochastic_forward: Callable[[np.ndarray], np.ndarray],
+    network: Network | Sequence[Network],
     x: np.ndarray,
     n_samples: int = 30,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -29,9 +42,10 @@ def mc_dropout_statistics(
 
     Parameters
     ----------
-    stochastic_forward:
-        Callable running one dropout-active pass, e.g.
-        ``network.forward_stochastic``.
+    network:
+        One network, or an ensemble whose members take the passes in
+        turn (pass ``i`` runs ``networks[i % len(networks)]``), as DRP's
+        restart ensemble does.
     x:
         Input batch, shape ``(n, d)``.
     n_samples:
@@ -49,20 +63,36 @@ def mc_dropout_statistics(
     -------
     (mean, std):
         Arrays of shape ``(n,)`` (single-output networks are squeezed).
+
+    Each network that takes a pass runs its head (its layers before the
+    first Dropout, or the whole stack if it has none) once; each pass
+    runs the tail through :meth:`Network.forward_stochastic`.  Masks are
+    drawn in pass order from each Dropout's own generator, so the result
+    is the same as running the full stack ``n_samples`` times.
     """
+    networks = [network] if isinstance(network, Network) else list(network)
+    if not networks:
+        raise ValueError("at least one network is required")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 to estimate a std, got {n_samples}")
     if std_floor <= 0:
         raise ValueError(f"std_floor must be > 0, got {std_floor}")
-    draws = []
-    for _ in range(n_samples):
-        out = stochastic_forward(x)
+    stages = []
+    for net in networks[:n_samples]:
+        head, tail = _split_at_first_dropout(net)
+        stages.append((head.forward(x), tail))
+    draws = None
+    for i in range(n_samples):
+        features, tail = stages[i % len(stages)]
+        out = tail.forward_stochastic(features)
         if transform is not None:
             out = transform(out)
-        draws.append(np.asarray(out, dtype=float).reshape(out.shape[0], -1))
-    stacked = np.stack(draws, axis=0)  # (T, n, k)
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0, ddof=1), std_floor)
+        out = np.asarray(out, dtype=float).reshape(out.shape[0], -1)
+        if draws is None:
+            draws = np.empty((n_samples, *out.shape))  # (T, n, k)
+        draws[i] = out
+    mean = draws.mean(axis=0)
+    std = np.maximum(draws.std(axis=0, ddof=1), std_floor)
     if mean.shape[1] == 1:
         return mean[:, 0], std[:, 0]
     return mean, std
@@ -91,7 +121,7 @@ class MCDropoutPredictor:
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return mc_dropout_statistics(
-            self.network.forward_stochastic,
+            self.network,
             x,
             n_samples=self.n_samples,
             transform=self.transform,

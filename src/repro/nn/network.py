@@ -81,18 +81,22 @@ class Network:
         return out
 
     def forward_stochastic(self, x: np.ndarray) -> np.ndarray:
-        """Inference pass with dropout *active* (MC dropout).
+        """Inference pass with dropout *active* (one MC-dropout draw).
 
-        Only :class:`Dropout` layers run in training mode; nothing is
-        cached, so this pass cannot be backpropagated — it exists purely
-        to sample from the approximate posterior predictive.
+        Each :class:`Dropout` layer multiplies by a fresh mask
+        (:meth:`Dropout.sample`); every other layer runs in inference
+        mode.  Nothing is cached, the masks included, so this pass
+        cannot be backpropagated — it exists purely to sample from the
+        approximate posterior predictive.
+        :func:`repro.nn.mc_dropout.mc_dropout_statistics` calls it with
+        the layers from the first Dropout on.
         """
         out = np.asarray(x, dtype=float)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
         for layer in self.layers:
             if isinstance(layer, Dropout):
-                out = layer.forward(out, training=True)
+                out = layer.sample(out)
             else:
                 out = layer.forward(out, training=False)
         return out

@@ -135,6 +135,14 @@ class TestDRPModel:
         with pytest.raises(ValueError, match="n_samples"):
             model.predict_roi_mc(data.x[:5], n_samples=1)
 
+    def test_mc_std_floor_validation(self, tiny_rct):
+        # Eq. 3 divides by r(x): an unfloored std is a division by zero
+        data = tiny_rct
+        model = DRPModel(hidden=16, epochs=2, n_restarts=1, random_state=0)
+        model.fit(data.x, data.t, data.y_r, data.y_c)
+        with pytest.raises(ValueError, match="std_floor"):
+            model.predict_roi_mc(data.x[:5], std_floor=0.0)
+
     def test_reproducible(self, tiny_rct):
         data = tiny_rct
         a = DRPModel(hidden=16, epochs=5, n_restarts=1, random_state=3)
