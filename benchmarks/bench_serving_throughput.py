@@ -11,7 +11,10 @@ numbers quantify the two serving levers the subsystem exists for:
   entirely, stacking on top of the batching gain;
 * observability — a live :class:`~repro.obs.MetricsRegistry` must cost
   under 5% of scoring throughput (the engine's counters are the same
-  objects either way; only span/export bookkeeping differs).
+  objects either way; only span/export bookkeeping differs);
+* pacing — the :class:`~repro.serving.pacing.BudgetPacer`'s periodic
+  threshold and ``roi*`` refresh, as a multiple of the per-arrival
+  admission work it rides on.
 
 Recorded to the ``BENCH_serving.json`` trajectory when
 ``REPRO_BENCH_DIR`` / ``REPRO_BENCH_RECORD`` is set (see
@@ -29,6 +32,7 @@ from _harness import get_rdrp, get_setting, print_header, record_result
 from repro.obs import MetricsRegistry
 from repro.runtime import ProcessBackend
 from repro.serving.engine import ScoringEngine
+from repro.serving.pacing import BudgetPacer
 from repro.serving.sharding import ShardedScoringEngine
 
 BATCH_SIZES = (1, 32, 256)
@@ -37,6 +41,11 @@ N_UNIQUE = 256  # unique rows in the cache-on stream (87.5% hit rate)
 OVERHEAD_ROUNDS = 5  # best-of rounds for the null-vs-live comparison
 N_BULK = 1 << 19  # submit_batch rows (the >= 2M scores/s target)
 N_SCALAR_REF = 1 << 15  # per-row reference stream for the bulk ratio
+
+PACER_OFFERS = 12_000  # offers in the refresh-overhead stream (both modes)
+PACER_WINDOW = 1024  # BudgetPacer's default window and refresh cadence
+PACER_REFRESH_EVERY = 64
+PACER_OVERHEAD_TOLERANCE = 0.5  # runs read 2.1-2.8x on 2 CPUs; the deque pacer read 5.3-14x
 
 SMOKE_N_REQUESTS = 256
 SMOKE_N_UNIQUE = 64
@@ -134,6 +143,76 @@ def test_throughput_batch_and_cache(benchmark, smoke) -> None:
             "rps_batch_1": {"value": rps_1, "unit": "req/s"},
             "rps_batch_256": {"value": rps_256, "unit": "req/s"},
             "rps_batch_256_cached": {"value": grid[(256, "on")][0], "unit": "req/s"},
+        }
+    )
+
+
+def _pacer_stream_seconds(stream, refresh_every: int) -> float:
+    """Best-of-``OVERHEAD_ROUNDS`` wall time of one pacer fed ``stream``
+    (an offer plus its outcome per arrival) at ``refresh_every``."""
+    scores, costs, treated, revenues, spends = stream
+    best = np.inf
+    for _ in range(OVERHEAD_ROUNDS):
+        pacer = BudgetPacer(
+            0.3 * sum(costs), len(scores), window=PACER_WINDOW, refresh_every=refresh_every
+        )
+        start = time.perf_counter()
+        for score, cost, t, y_r, y_c in zip(scores, costs, treated, revenues, spends):
+            pacer.offer(score, cost)
+            pacer.observe_outcome(t, y_r, y_c)
+        best = min(best, time.perf_counter() - start)
+    assert pacer.history and pacer.roi_floor_ > 0.0  # the floor really was derived
+    return best
+
+
+def test_pacer_refresh_overhead(benchmark) -> None:
+    """What re-deriving the pacing threshold and the ``roi*`` floor costs.
+
+    One feedback stream (each arrival offered, then its outcome fed
+    back) runs through a :class:`BudgetPacer` at the default window and
+    refresh cadence, and again with refreshes turned off (one fit at
+    warmup).  The ratio of the two wall times is dimensionless and
+    gated: a refresh that rebuilds its window or re-derives the uplifts
+    at every bisection step shows up as several times more per arrival.
+    The stream is the same size in smoke mode (it runs in about a
+    second), so smoke and full runs read the same ratio.
+    """
+
+    def run() -> dict[str, float]:
+        gen = np.random.default_rng(0)
+        treated = (gen.random(PACER_OFFERS) < 0.5).astype(int)
+        stream = (
+            gen.random(PACER_OFFERS).tolist(),
+            (0.05 + 0.5 * gen.random(PACER_OFFERS)).tolist(),
+            treated.tolist(),
+            (gen.random(PACER_OFFERS) < 0.1 + 0.3 * treated).astype(float).tolist(),
+            (gen.random(PACER_OFFERS) < 0.2 + 0.5 * treated).astype(float).tolist(),
+        )
+        return {
+            "paced": _pacer_stream_seconds(stream, PACER_REFRESH_EVERY),
+            "unpaced": _pacer_stream_seconds(stream, 10**9),
+        }
+
+    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    ratio = out["paced"] / out["unpaced"]
+    print_header(
+        f"pacer refresh overhead — {PACER_OFFERS} offers, window {PACER_WINDOW}, "
+        f"refresh every {PACER_REFRESH_EVERY}"
+    )
+    print(f"  refreshing:     {out['paced'] * 1e3:>8.1f} ms")
+    print(f"  not refreshing: {out['unpaced'] * 1e3:>8.1f} ms")
+    print(f"  overhead:       {ratio:.2f}x")
+
+    _SERVING_METRICS.update(
+        {
+            "pacer_refresh_overhead": {
+                "value": ratio,
+                "unit": "x",
+                "direction": "lower",
+                "gated": True,
+                "tolerance": PACER_OVERHEAD_TOLERANCE,
+            },
+            "pacer_stream_ms": {"value": out["paced"] * 1e3, "unit": "ms", "direction": "lower"},
         }
     )
 

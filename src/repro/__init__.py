@@ -128,7 +128,7 @@ from repro.serving import (
     TrafficReplay,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "ABTest",

@@ -60,6 +60,25 @@ def drp_loss_gradient(
     return -w * (np.asarray(y_r, dtype=float) - np.asarray(y_c, dtype=float) * sigmoid(s))
 
 
+def _pooled_uplifts(
+    t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray
+) -> tuple[float, float]:
+    """Difference-in-means uplifts ``(τ̂_r, τ̂_c)`` of a pooled sample.
+
+    Rows with ``t == 1`` are treated and every other row is control.
+    Raises ``ValueError`` unless both arms are non-empty.
+    """
+    t = np.asarray(t).ravel()
+    y_r = np.asarray(y_r, dtype=float).ravel()
+    y_c = np.asarray(y_c, dtype=float).ravel()
+    treated = t == 1
+    if not np.any(treated) or not np.any(~treated):
+        raise ValueError("Both treated and control samples are required")
+    tau_r = float(y_r[treated].mean() - y_r[~treated].mean())
+    tau_c = float(y_c[treated].mean() - y_c[~treated].mean())
+    return tau_r, tau_c
+
+
 def drp_pooled_derivative(
     roi: float, t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray
 ) -> float:
@@ -71,14 +90,7 @@ def drp_pooled_derivative(
     ``roi`` whenever ``τ̂_c > 0`` (Assumption 4) and crosses zero at
     ``roi = τ̂_r / τ̂_c``.
     """
-    t = np.asarray(t).ravel()
-    y_r = np.asarray(y_r, dtype=float).ravel()
-    y_c = np.asarray(y_c, dtype=float).ravel()
-    treated = t == 1
-    if not np.any(treated) or not np.any(~treated):
-        raise ValueError("Both treated and control samples are required")
-    tau_r = float(y_r[treated].mean() - y_r[~treated].mean())
-    tau_c = float(y_c[treated].mean() - y_c[~treated].mean())
+    tau_r, tau_c = _pooled_uplifts(t, y_r, y_c)
     return -tau_r + tau_c * float(roi)
 
 

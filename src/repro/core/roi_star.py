@@ -6,7 +6,10 @@ derivative at ``roi = σ(s)`` is ``L'(roi) = −τ̂_r + τ̂_c · roi`` (see
 ``roi`` under Assumption 4 (``τ_c > 0``).  Bisection on ``roi ∈ (0, 1)``
 therefore converges to the loss minimiser, which Assumption 5 treats as
 the *true* ROI of the pooled sample — the surrogate label conformal
-prediction needs.
+prediction needs.  ``L'`` is affine in ``roi``, so the search takes the
+pooled uplifts ``(τ̂_r, τ̂_c)`` once and bisects the line they define,
+evaluating exactly what :func:`~repro.core.drp.drp_pooled_derivative`
+would at every step.
 
 Two granularities are provided (see DESIGN.md):
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from typing import Callable
 
-from repro.core.drp import drp_pooled_derivative
+from repro.core.drp import _pooled_uplifts
 from repro.utils.validation import check_1d, check_binary, check_consistent_length
 
 __all__ = ["bisect_monotone", "binary_search_roi_star", "RoiStarEstimator"]
@@ -88,9 +91,19 @@ def binary_search_roi_star(
     float
         The convergence-point ROI of the pooled sample.
     """
-    roi_star = bisect_monotone(
-        lambda roi: drp_pooled_derivative(roi, t, y_r, y_c), 0.0, 1.0, eps=eps
-    )
+    tau_r, tau_c = _pooled_uplifts(t, y_r, y_c)
+    return _roi_star_of_uplifts(tau_r, tau_c, eps=eps, clip=clip)
+
+
+def _roi_star_of_uplifts(
+    tau_r: float, tau_c: float, eps: float = 1e-3, clip: float = 1e-3
+) -> float:
+    """:func:`binary_search_roi_star` on uplifts already taken.
+
+    Each step evaluates the same expression, in the same operand order,
+    as :func:`~repro.core.drp.drp_pooled_derivative`.
+    """
+    roi_star = bisect_monotone(lambda roi: -tau_r + tau_c * float(roi), 0.0, 1.0, eps=eps)
     return float(np.clip(roi_star, clip, 1.0 - clip))
 
 

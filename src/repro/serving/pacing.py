@@ -7,7 +7,8 @@ on mediocre users.  :class:`BudgetPacer` solves the streaming version
 of C-BTAP with an *adaptive admission threshold*:
 
 1. every arrival's ``(score, cost)`` lands in a sliding window — a
-   live sample of the day's traffic distribution;
+   live sample of the day's traffic distribution, held as float64
+   columns that a refresh reads in place (see :class:`_Window`);
 2. the pacer periodically derives the per-event spend rate that keeps
    cumulative spend on a target pacing curve (uniform by default), and
 3. locates, with the same bisection primitive as Algorithm 2
@@ -16,9 +17,11 @@ of C-BTAP with an *adaptive admission threshold*:
 
 When realised outcomes are fed back via :meth:`observe_outcome`, the
 pacer additionally computes the break-even ``roi*`` of recent traffic
-with :func:`repro.core.roi_star.binary_search_roi_star` and uses it as
-a profitability floor under the pacing threshold — the paper's "treat
-only when ROI clears roi*" rule, applied to the live stream.
+with Algorithm 2 (:func:`repro.core.roi_star.binary_search_roi_star`,
+fed the outcome window's pooled uplifts, taken once per refresh) and
+uses it as a profitability floor under the pacing threshold — the
+paper's "treat only when ROI clears roi*" rule, applied to the live
+stream.
 
 Two invariants hold by construction: cumulative spend never exceeds
 the budget, and never exceeds the pacing curve by more than
@@ -33,13 +36,14 @@ its cumulative plan instead of leaking every day's residual.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.core.roi_star import binary_search_roi_star, bisect_monotone
+from repro.core.drp import _pooled_uplifts
+from repro.core.roi_star import _roi_star_of_uplifts, bisect_monotone
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 __all__ = ["BudgetPacer", "DayPlan", "EmpiricalCurve", "MultiDayPacer"]
@@ -98,6 +102,54 @@ def _uniform_curve(progress: float) -> float:
     return progress
 
 
+class _Window:
+    """The newest ``size`` rows of ``k`` float64 columns, oldest first.
+
+    The columns are twice the window long.  Rows are written at
+    :meth:`slot` until the columns fill; then the newest ``size`` rows
+    are copied to the front, so the live window is always one
+    contiguous slice (amortised O(1) per row) and numpy reductions over
+    it see the rows in arrival order.  Single rows are written through
+    memoryviews of the columns (``views``), whose item writes cost
+    about a third of numpy's.  Memoryviews do not pickle, so pickling
+    drops them and unpickling rebuilds them.
+    """
+
+    def __init__(self, k: int, size: int) -> None:
+        self.size = size
+        self.stop = 0
+        self.columns = np.zeros((k, 2 * size))
+        self._bind()
+
+    def _bind(self) -> None:
+        self.views = tuple(map(memoryview, self.columns))
+
+    def __len__(self) -> int:
+        return min(self.stop, self.size)
+
+    def slot(self) -> int:
+        """Claim the next row's index (compacting full columns first)."""
+        i = self.stop
+        if i == 2 * self.size:
+            self.columns[:, : self.size] = self.columns[:, self.size :]
+            i = self.size
+        self.stop = i + 1
+        return i
+
+    def live(self) -> np.ndarray:
+        """The window as a ``(k, len(self))`` view, oldest row first."""
+        return self.columns[:, max(0, self.stop - self.size) : self.stop]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["views"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
+
+
 class BudgetPacer:
     """Admit streaming users under a budget that must last the horizon.
 
@@ -110,7 +162,10 @@ class BudgetPacer:
         ``n_seen / horizon`` (capped at 1 — extra traffic spends
         whatever remains).
     window:
-        Sliding-window length for the traffic sample.
+        Sliding-window length for the traffic sample and for the
+        outcome feedback.  Both windows are float64 columns
+        (``(score, cost)`` and ``(t, y_r, y_c)``) that each refresh
+        reads in place.
     refresh_every:
         Re-derive the threshold every this many arrivals.
     lookahead:
@@ -184,8 +239,8 @@ class BudgetPacer:
         self.use_roi_floor = bool(use_roi_floor)
         self.min_arm_outcomes = int(min_arm_outcomes)
 
-        self._traffic: deque[tuple[float, float]] = deque(maxlen=self.window)
-        self._outcomes: deque[tuple[int, float, float]] = deque(maxlen=self.window)
+        self._traffic = _Window(2, self.window)  # rows: score, cost
+        self._outcomes = _Window(3, self.window)  # rows: t, y_r, y_c
         self.n_seen = 0
         self.n_admitted = 0
         self.spent = 0.0
@@ -215,15 +270,26 @@ class BudgetPacer:
     # the admission decision
     # ------------------------------------------------------------------
     def offer(self, score: float, cost: float) -> bool:
-        """Record one arrival and decide treat (True) / skip (False)."""
+        """Record one arrival and decide treat (True) / skip (False).
+
+        Raises ``ValueError``, before any state changes, for a
+        non-finite score (NaN would poison the window's threshold,
+        ``inf`` would pierce a lockout) or a cost that is not finite and
+        positive (NaN would poison ``spent`` and with it the budget cap).
+        """
         score = float(score)
         cost = float(cost)
-        if cost <= 0:
-            raise ValueError(f"cost must be > 0 (Assumption 4), got {cost}")
+        if not math.isfinite(score):
+            raise ValueError(f"score must be finite, got {score}")
+        if not 0.0 < cost < math.inf:  # rejects NaN too
+            raise ValueError(f"cost must be finite and > 0 (Assumption 4), got {cost}")
         self.n_seen += 1
         self._c_offers.inc()
         self.offered_cost += cost
-        self._traffic.append((score, cost))
+        i = self._traffic.slot()
+        scores, costs = self._traffic.views
+        scores[i] = score
+        costs[i] = cost
         if (
             self.n_seen >= self.warmup
             and self.n_seen - self._last_refresh >= self.refresh_every
@@ -253,9 +319,20 @@ class BudgetPacer:
 
         Outcomes power the ``roi*`` profitability floor; without them
         the pacer paces spend but cannot tell whether spending is
-        worthwhile at all.
+        worthwhile at all.  Raises ``ValueError``, recording nothing,
+        unless ``t`` is 0 or 1 and both outcomes are finite.
         """
-        self._outcomes.append((int(t), float(y_r), float(y_c)))
+        if t not in (0, 1):
+            raise ValueError(f"t must be 0 or 1, got {t!r}")
+        y_r = float(y_r)
+        y_c = float(y_c)
+        if not (math.isfinite(y_r) and math.isfinite(y_c)):
+            raise ValueError(f"outcomes must be finite, got y_r={y_r}, y_c={y_c}")
+        i = self._outcomes.slot()
+        ts, revenues, costs = self._outcomes.views
+        ts[i] = float(t)
+        revenues[i] = y_r
+        costs[i] = y_c
 
     def rebudget(self, budget: float) -> None:
         """Reset the budget mid-stream (fleet slice rebalancing).
@@ -279,8 +356,7 @@ class BudgetPacer:
     def _refresh(self) -> None:
         self._last_refresh = self.n_seen
         self._c_refreshes.inc()
-        traffic = np.asarray(self._traffic, dtype=float)
-        scores, costs = traffic[:, 0], traffic[:, 1]
+        scores, costs = self._traffic.live()
 
         progress = min(1.0, self.n_seen / self.horizon)
         ahead = min(1.0, (self.n_seen + self.lookahead) / self.horizon)
@@ -312,17 +388,18 @@ class BudgetPacer:
             else:
                 self.threshold_ = bisect_monotone(pace_gap, lo, hi, eps=1e-3)
 
-        if self.use_roi_floor and self._outcomes:
-            outcomes = np.asarray(self._outcomes, dtype=float)
-            t, y_r, y_c = outcomes[:, 0], outcomes[:, 1], outcomes[:, 2]
-            n1, n0 = int(np.sum(t == 1)), int(np.sum(t == 0))
-            if n1 >= self.min_arm_outcomes and n0 >= self.min_arm_outcomes:
+        if self.use_roi_floor and len(self._outcomes):
+            t, y_r, y_c = self._outcomes.live()
+            n1 = int(np.count_nonzero(t))  # observe_outcome keeps t in {0, 1}
+            n0 = t.size - n1
+            # an empty arm never activates the floor, whatever min_arm_outcomes
+            if min(n1, n0) >= max(1, self.min_arm_outcomes):
                 # Assumption 4 guard: the bisection needs tau_c > 0 in the
                 # window, else the derivative never crosses zero and the
                 # floor degenerates to the search endpoint
-                tau_c = float(y_c[t == 1].mean() - y_c[t == 0].mean())
+                tau_r, tau_c = _pooled_uplifts(t, y_r, y_c)
                 if tau_c > 0.0:
-                    self.roi_floor_ = binary_search_roi_star(t, y_r, y_c)
+                    self.roi_floor_ = _roi_star_of_uplifts(tau_r, tau_c)
                     self.threshold_ = max(self.threshold_, self.roi_floor_)
         self.history.append((self.n_seen, self.spent, self.threshold_))
         self.offered_trace.append((self.n_seen, self.offered_cost))

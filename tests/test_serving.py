@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.ab.platform import Platform
-from repro.core.roi_star import bisect_monotone
+import repro.core.roi_star as roi_star_module
+from repro.core.drp import drp_pooled_derivative
+from repro.core.roi_star import RoiStarEstimator, binary_search_roi_star, bisect_monotone
+from repro.obs import MetricsRegistry
 from repro.runtime import ManualClock, SerialBackend, ThreadBackend
 from repro.serving.engine import ScoringEngine, _ResultTable
-from repro.serving.pacing import BudgetPacer, MultiDayPacer
+from repro.serving.pacing import BudgetPacer, EmpiricalCurve, MultiDayPacer
 from repro.serving.policy import ConformalGatedPolicy
 from repro.serving.registry import ModelRegistry
 from repro.serving.simulator import TrafficReplay
@@ -1504,6 +1510,295 @@ class TestBudgetPacer:
         assert np.median(late) > 2.0  # fitted inside the post-drift range
         # and the budget keeps being used after the drift, not starved
         assert pacer.spent > 0.8 * budget
+
+
+# ---------------------------------------------------------------------------
+# the pacer's window columns: equivalence pins against the deque pacer
+# ---------------------------------------------------------------------------
+def _reference_roi_star(t, y_r, y_c, eps=1e-3, clip=1e-3):
+    """Algorithm 2 re-deriving the pooled uplifts at every bisection step."""
+    roi_star = bisect_monotone(
+        lambda roi: drp_pooled_derivative(roi, t, y_r, y_c), 0.0, 1.0, eps=eps
+    )
+    return float(np.clip(roi_star, clip, 1.0 - clip))
+
+
+class ReferencePacer(BudgetPacer):
+    """The deque-based pacer: windows rebuilt into arrays at every
+    refresh, ``roi*`` bisected on the per-step pooled derivative.  The
+    columnar :class:`BudgetPacer` must decide byte-identically."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._traffic = deque(maxlen=self.window)
+        self._outcomes = deque(maxlen=self.window)
+
+    def offer(self, score: float, cost: float) -> bool:
+        score = float(score)
+        cost = float(cost)
+        if cost <= 0:
+            raise ValueError(f"cost must be > 0 (Assumption 4), got {cost}")
+        self.n_seen += 1
+        self._c_offers.inc()
+        self.offered_cost += cost
+        self._traffic.append((score, cost))
+        if (
+            self.n_seen >= self.warmup
+            and self.n_seen - self._last_refresh >= self.refresh_every
+        ):
+            self._refresh()
+
+        progress = min(1.0, self.n_seen / self.horizon)
+        curve_cap = self.budget * min(
+            1.0, float(self.target_curve(progress)) + self.curve_slack
+        )
+        cap = min(self.budget, curve_cap)
+        if self.spent + cost > cap:
+            return False
+        if self.n_seen >= self.warmup and score < self.threshold_:
+            return False
+        self.n_admitted += 1
+        self.spent += cost
+        self._c_admits.inc()
+        self._g_spend.set(self.spent)
+        return True
+
+    def observe_outcome(self, t: int, y_r: float, y_c: float) -> None:
+        self._outcomes.append((int(t), float(y_r), float(y_c)))
+
+    def _refresh(self) -> None:
+        self._last_refresh = self.n_seen
+        self._c_refreshes.inc()
+        traffic = np.asarray(self._traffic, dtype=float)
+        scores, costs = traffic[:, 0], traffic[:, 1]
+
+        progress = min(1.0, self.n_seen / self.horizon)
+        ahead = min(1.0, (self.n_seen + self.lookahead) / self.horizon)
+        events_ahead = max(1, int(round((ahead - progress) * self.horizon)))
+        target_cum = self.budget * float(self.target_curve(ahead))
+        rate = (target_cum - self.spent) / events_ahead
+
+        if rate <= 0.0:
+            self.threshold_ = np.inf
+            self._c_lockouts.inc()
+        else:
+            lo = float(np.min(scores)) - 1e-9
+            hi = float(np.max(scores)) + 1e-9
+
+            def pace_gap(thr: float) -> float:
+                admitted = float(np.mean(np.where(scores >= thr, costs, 0.0)))
+                return 1.0 - admitted / rate
+
+            if pace_gap(lo) >= 0.0:
+                self.threshold_ = lo
+            else:
+                self.threshold_ = bisect_monotone(pace_gap, lo, hi, eps=1e-3)
+
+        if self.use_roi_floor and self._outcomes:
+            outcomes = np.asarray(self._outcomes, dtype=float)
+            t, y_r, y_c = outcomes[:, 0], outcomes[:, 1], outcomes[:, 2]
+            n1, n0 = int(np.sum(t == 1)), int(np.sum(t == 0))
+            if n1 >= self.min_arm_outcomes and n0 >= self.min_arm_outcomes:
+                tau_c = float(y_c[t == 1].mean() - y_c[t == 0].mean())
+                if tau_c > 0.0:
+                    self.roi_floor_ = _reference_roi_star(t, y_r, y_c)
+                    self.threshold_ = max(self.threshold_, self.roi_floor_)
+        self.history.append((self.n_seen, self.spent, self.threshold_))
+        self.offered_trace.append((self.n_seen, self.offered_cost))
+        self._g_threshold.set(self.threshold_)
+        self._g_roi_floor.set(self.roi_floor_)
+        self._g_spend_vs_curve.set(
+            self.spent - self.budget * float(self.target_curve(progress))
+        )
+
+
+def _pacer_state(pacer) -> bytes:
+    """Everything a pacer decided, as bytes (floats compare bit for bit)."""
+    return pickle.dumps(
+        (pacer.n_seen, pacer.n_admitted, pacer.spent, pacer.offered_cost,
+         pacer.threshold_, pacer.roi_floor_, pacer.history, pacer.offered_trace)
+    )
+
+
+def _drive(pacers, gen, n, p_outcome=0.7, p_rebudget=0.0):
+    """Feed every pacer the same random stream; returns each one's
+    decisions as bytes.  Treated outcomes carry a random lift, so the
+    window's ``tau_c`` lands on both sides of zero across draws."""
+    lift_r, lift_c = gen.uniform(-0.2, 0.5, size=2)
+    decisions = [[] for _ in pacers]
+    for _ in range(n):
+        score = float(gen.normal())
+        cost = float(gen.random() * 0.5 + 0.05)
+        for pacer, out in zip(pacers, decisions):
+            out.append(pacer.offer(score, cost))
+        if gen.random() < p_outcome:
+            t = int(gen.random() < 0.5)
+            y_r = float(gen.random() < 0.3 + t * lift_r)
+            y_c = float(gen.random() < 0.3 + t * lift_c) + 0.01 * float(gen.random())
+            for pacer in pacers:
+                pacer.observe_outcome(t, y_r, y_c)
+        if gen.random() < p_rebudget:
+            budget = pacers[0].spent + float(gen.random()) * pacers[0].budget
+            for pacer in pacers:
+                pacer.rebudget(budget)
+    return [bytes(np.asarray(out, dtype=bool)) for out in decisions]
+
+
+def _early_tilted_curve(horizon):
+    """The ``"early"`` carryover tilt a :class:`MultiDayPacer` puts on a
+    day that inherits a residual (here: the whole idle first day)."""
+    multi = MultiDayPacer(daily_budget=3.0, horizon=horizon, carryover_mode="early")
+    multi.start_day()
+    multi.end_day()
+    return multi.start_day().target_curve
+
+
+class TestPacerWindowEquivalence:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=300),
+        window=st.integers(min_value=2, max_value=17),
+        refresh_every=st.integers(min_value=1, max_value=20),
+        warmup=st.integers(min_value=0, max_value=40),
+        lookahead=st.integers(min_value=1, max_value=64),
+        use_roi_floor=st.booleans(),
+        min_arm_outcomes=st.integers(min_value=0, max_value=3),
+        curve=st.sampled_from(["uniform", "empirical", "early"]),
+        budget_frac=st.floats(min_value=0.0, max_value=1.2),
+        p_rebudget=st.sampled_from([0.0, 0.02]),
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's empty-arm means
+    def test_decisions_byte_equal_to_deque_reference(
+        self, seed, n, window, refresh_every, warmup, lookahead, use_roi_floor,
+        min_arm_outcomes, curve, budget_frac, p_rebudget,
+    ):
+        target_curve = {
+            "uniform": None,
+            "empirical": EmpiricalCurve(
+                np.array([0.0, 0.2, 0.7, 1.0]), np.array([0.0, 0.5, 0.6, 1.0])
+            ),
+            "early": _early_tilted_curve(n),
+        }[curve]
+        params = dict(
+            window=window, refresh_every=refresh_every, warmup=warmup,
+            lookahead=lookahead, use_roi_floor=use_roi_floor,
+            min_arm_outcomes=min_arm_outcomes, target_curve=target_curve,
+        )
+        budget = budget_frac * 0.3 * n
+        pacer = BudgetPacer(budget, n, **params)
+        reference = ReferencePacer(budget, n, **params)
+        got, want = _drive(
+            [pacer, reference], np.random.default_rng(seed), n, p_rebudget=p_rebudget
+        )
+        assert got == want
+        assert _pacer_state(pacer) == _pacer_state(reference)
+
+    def test_roi_floor_engages_in_the_pinned_streams(self):
+        """The equivalence property covers the floor, not just pacing."""
+        pacer = BudgetPacer(1e9, 300, window=16, warmup=4, refresh_every=4, min_arm_outcomes=2)
+        reference = ReferencePacer(1e9, 300, window=16, warmup=4, refresh_every=4, min_arm_outcomes=2)
+        got, want = _drive([pacer, reference], np.random.default_rng(11), 300)
+        assert got == want
+        assert _pacer_state(pacer) == _pacer_state(reference)
+        assert pacer.roi_floor_ > 0.0
+
+    def test_pickled_mid_stream_continues_identically(self):
+        """Unpickling rebuilds the window's write views over the copied
+        columns, after the columns have compacted."""
+        pacer = BudgetPacer(40.0, 400, window=8, warmup=4, refresh_every=3, min_arm_outcomes=1)
+        _drive([pacer], np.random.default_rng(5), 50)  # 50 > 2 * window: compacted
+        clone = pickle.loads(pickle.dumps(pacer))
+        got, want = _drive([clone, pacer], np.random.default_rng(6), 200)
+        assert got == want
+        assert _pacer_state(clone) == _pacer_state(pacer)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=400),
+        eps=st.sampled_from([1e-2, 1e-3, 1e-5]),
+        lift=st.floats(min_value=-0.5, max_value=0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roi_star_byte_equal_to_per_step_derivative(self, seed, n, eps, lift):
+        gen = np.random.default_rng(seed)
+        t = np.arange(n) % 2  # both arms present
+        y_r = gen.random(n) + 0.3 * t
+        y_c = gen.random(n) + lift * t
+        got = binary_search_roi_star(t, y_r, y_c, eps=eps)
+        assert pickle.dumps(got) == pickle.dumps(_reference_roi_star(t, y_r, y_c, eps=eps))
+
+    def test_roi_star_still_needs_both_arms(self):
+        with pytest.raises(ValueError, match="Both treated and control"):
+            binary_search_roi_star(np.ones(5), np.ones(5), np.ones(5))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_binned_roi_star_estimate_byte_equal(self, seed, monkeypatch):
+        gen = np.random.default_rng(seed)
+        n = 3000
+        roi_hat = gen.random(n)
+        t = (gen.random(n) < 0.5).astype(int)
+        y_c = (gen.random(n) < 0.2 + 0.4 * roi_hat * t).astype(float)
+        y_r = (gen.random(n) < 0.1 + 0.3 * roi_hat * t).astype(float)
+        estimator = RoiStarEstimator(mode="binned", n_bins=12, min_arm_per_bin=10)
+        got = estimator.estimate(roi_hat, t, y_r, y_c)
+        monkeypatch.setattr(roi_star_module, "binary_search_roi_star", _reference_roi_star)
+        want = estimator.estimate(roi_hat, t, y_r, y_c)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestPacerInputValidation:
+    @pytest.mark.parametrize(
+        "score, cost",
+        [
+            (0.5, float("nan")),  # poisons spent: the cap never binds again
+            (0.5, float("inf")),
+            (float("nan"), 0.3),  # poisons the window's threshold
+            (float("inf"), 0.3),  # pierces an inf lockout
+            (float("-inf"), 0.3),
+        ],
+    )
+    def test_non_finite_offer_rejected_before_any_state_change(self, score, cost):
+        registry = MetricsRegistry()
+        pacer = BudgetPacer(10.0, 100, warmup=2, refresh_every=100, metrics=registry)
+        for _ in range(3):
+            pacer.offer(0.5, 0.3)
+        before = (_pacer_state(pacer), len(pacer._traffic), registry.snapshot())
+        with pytest.raises(ValueError, match="score|cost"):
+            pacer.offer(score, cost)
+        assert (_pacer_state(pacer), len(pacer._traffic), registry.snapshot()) == before
+
+    def test_wrappers_inherit_the_offer_check(self):
+        from repro.serving.sharding import ShardedBudgetPacer
+
+        multi = MultiDayPacer(daily_budget=5.0, horizon=10)
+        multi.start_day()
+        sharded = ShardedBudgetPacer(10.0, 100, 2, use_roi_floor=False)
+        for pacer in (multi, sharded):
+            with pytest.raises(ValueError, match="cost"):
+                pacer.offer(0.5, float("nan"))
+            with pytest.raises(ValueError, match="score"):
+                pacer.offer(float("nan"), 0.3)
+        assert multi.current.n_seen == 0
+        assert sharded.n_seen == 0
+
+    @pytest.mark.parametrize(
+        "t, y_r, y_c",
+        [
+            (2, 1.0, 1.0),  # neither arm in the guard, control in the bisection
+            (-1, 1.0, 1.0),
+            (0.5, 1.0, 1.0),
+            (1, float("nan"), 1.0),
+            (1, 1.0, float("inf")),
+            (0, float("-inf"), 0.0),
+        ],
+    )
+    def test_invalid_outcome_rejected_and_not_recorded(self, t, y_r, y_c):
+        pacer = BudgetPacer(10.0, 100)
+        pacer.observe_outcome(1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="t must|outcomes must"):
+            pacer.observe_outcome(t, y_r, y_c)
+        assert len(pacer._outcomes) == 1
 
 
 # ---------------------------------------------------------------------------
