@@ -3,9 +3,10 @@
 TARNet, DragonNet, OffsetNet and SNet are all "representation +
 heads" architectures.  They differ in how the heads are wired, but
 share the same training skeleton: shuffled mini-batches, a joint Adam
-step over every sub-network's parameters, and masked per-arm losses
-(each sample only supervises the head of the arm it was actually
-assigned — the factual outcome).
+step over every sub-network's parameters (one flat parameter buffer
+for the whole model), and masked per-arm losses (each sample only
+supervises the head of the arm it was actually assigned — the factual
+outcome).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.causal.base import UpliftModel, validate_uplift_inputs
-from repro.nn.layers import Activation, Dense, Dropout
-from repro.nn.network import Network
+from repro.nn.layers import Activation, Dense, Dropout, Layer
+from repro.nn.network import Network, _ParameterBuffer
 from repro.nn.optimizers import Adam
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_2d
@@ -113,15 +114,9 @@ class NeuralUpliftBase(UpliftModel):
         raise NotImplementedError
 
     # -- shared plumbing ---------------------------------------------------
-    def _all_parameters(self) -> list[np.ndarray]:
-        return [p for net in self._networks for p in net.parameters()]
-
-    def _all_gradients(self) -> list[np.ndarray]:
-        return [g for net in self._networks for g in net.gradients()]
-
-    def _zero_grads(self) -> None:
-        for net in self._networks:
-            net.zero_grad()
+    def _trainable_layers(self) -> list[Layer]:
+        """Every layer the joint Adam step trains."""
+        return [layer for net in self._networks for layer in net.layers]
 
     def _check_fitted_input(self, x) -> np.ndarray:
         if self._n_features is None:
@@ -139,6 +134,8 @@ class NeuralUpliftBase(UpliftModel):
         rng = as_generator(self.random_state)
         self._build(x.shape[1], rng)
         optimizer = Adam(self.learning_rate, weight_decay=self.weight_decay)
+        buffer = _ParameterBuffer(self._trainable_layers())
+        params, grads = [buffer.params], [buffer.grads]
         n = x.shape[0]
         self.loss_history_ = []
         for _ in range(self.epochs):
@@ -147,9 +144,9 @@ class NeuralUpliftBase(UpliftModel):
             n_batches = 0
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
-                self._zero_grads()
+                buffer.zero_grad()
                 loss = self._train_batch(x[idx], y[idx], t[idx])
-                optimizer.step(self._all_parameters(), self._all_gradients())
+                optimizer.step(params, grads)
                 epoch_loss += loss
                 n_batches += 1
             self.loss_history_.append(epoch_loss / max(n_batches, 1))

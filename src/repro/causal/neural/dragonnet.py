@@ -17,10 +17,31 @@ import numpy as np
 
 from repro.causal.neural.base import NeuralUpliftBase, head_block, representation_block
 from repro.nn.activations import sigmoid
-from repro.nn.layers import Dense
+from repro.nn.layers import Dense, Layer
 from repro.nn.network import Network
 
 __all__ = ["DragonNet"]
+
+
+class _Epsilon(Layer):
+    """The trainable scalar ``ε`` of targeted regularisation.
+
+    A parameter-only layer, so the joint Adam step trains it in the
+    same flat buffer as the networks; it has no forward pass.
+    """
+
+    def __init__(self) -> None:
+        self.value = np.zeros(1)
+        self.grad = np.zeros(1)
+
+    def parameters(self) -> list[np.ndarray]:
+        return [self.value]
+
+    def gradients(self) -> list[np.ndarray]:
+        return [self.grad]
+
+    def bind(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        [self.value], [self.grad] = params, grads
 
 
 class DragonNet(NeuralUpliftBase):
@@ -70,25 +91,14 @@ class DragonNet(NeuralUpliftBase):
         self.head1_ = head_block(self.hidden, self.hidden, rng=rng)
         # propensity head: single linear logit on top of φ
         self.prop_head_ = Network([Dense(self.hidden, 1, init="glorot", rng=rng)])
-        self._epsilon = np.zeros(1)
-        self._epsilon_grad = np.zeros(1)
+        self._epsilon = _Epsilon()
         self._networks = [self.repr_, self.head0_, self.head1_, self.prop_head_]
 
-    def _all_parameters(self) -> list[np.ndarray]:
-        params = super()._all_parameters()
+    def _trainable_layers(self) -> list[Layer]:
+        layers = super()._trainable_layers()
         if self.targeted_weight > 0:
-            params.append(self._epsilon)
-        return params
-
-    def _all_gradients(self) -> list[np.ndarray]:
-        grads = super()._all_gradients()
-        if self.targeted_weight > 0:
-            grads.append(self._epsilon_grad)
-        return grads
-
-    def _zero_grads(self) -> None:
-        super()._zero_grads()
-        self._epsilon_grad[...] = 0.0
+            layers.append(self._epsilon)
+        return layers
 
     def _train_batch(self, xb: np.ndarray, yb: np.ndarray, tb: np.ndarray) -> float:
         n = xb.shape[0]
@@ -117,14 +127,14 @@ class DragonNet(NeuralUpliftBase):
 
         targeted_loss = 0.0
         if self.targeted_weight > 0:
-            eps = float(self._epsilon[0])
+            eps = float(self._epsilon.value[0])
             pred_factual = np.where(treated, pred1, pred0)
             h = tb_f / g - (1.0 - tb_f) / (1.0 - g)
             resid = yb - (pred_factual + eps * h)
             targeted_loss = float(np.mean(resid**2)) * self.targeted_weight
             common = -2.0 * self.targeted_weight * resid / n
             # d/d eps
-            self._epsilon_grad[0] += float(np.sum(common * h))
+            self._epsilon.grad[0] += float(np.sum(common * h))
             # d/d pred_factual routes to the factual head only
             grad1 = grad1 + np.where(treated, common, 0.0)
             grad0 = grad0 + np.where(~treated, common, 0.0)

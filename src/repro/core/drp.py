@@ -38,26 +38,33 @@ __all__ = ["DRPModel", "drp_loss", "drp_loss_gradient", "drp_pooled_derivative"]
 
 def _group_weights(t: np.ndarray) -> np.ndarray:
     """Per-sample weights ``+1/N₁`` (treated) / ``−1/N₀`` (control)."""
-    n1 = max(int(np.sum(t == 1)), 1)
-    n0 = max(int(np.sum(t == 0)), 1)
-    return np.where(t == 1, 1.0 / n1, -1.0 / n0)
+    treated = t == 1
+    n1 = max(np.count_nonzero(treated), 1)
+    n0 = max(np.count_nonzero(t == 0), 1)
+    return np.where(treated, 1.0 / n1, -1.0 / n0)
+
+
+def _eq2(
+    s: np.ndarray, t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Eq. 2 and its gradient in ``s``: the one implementation of both."""
+    s = np.asarray(s, dtype=float).ravel()
+    w = _group_weights(np.asarray(t).ravel())
+    y_r = np.asarray(y_r, dtype=float)
+    y_c = np.asarray(y_c, dtype=float)
+    return float(-np.sum(w * (y_r * s - y_c * softplus(s)))), -w * (y_r - y_c * sigmoid(s))
 
 
 def drp_loss(s: np.ndarray, t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray) -> float:
     """Eq. 2 evaluated at per-sample scores ``s`` (numerically stable)."""
-    s = np.asarray(s, dtype=float).ravel()
-    w = _group_weights(np.asarray(t).ravel())
-    contrib = np.asarray(y_r, dtype=float) * s - np.asarray(y_c, dtype=float) * softplus(s)
-    return float(-np.sum(w * contrib))
+    return _eq2(s, t, y_r, y_c)[0]
 
 
 def drp_loss_gradient(
     s: np.ndarray, t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray
 ) -> np.ndarray:
     """``∂L/∂s_i = −w_i (y_{r,i} − y_{c,i} σ(s_i))``."""
-    s = np.asarray(s, dtype=float).ravel()
-    w = _group_weights(np.asarray(t).ravel())
-    return -w * (np.asarray(y_r, dtype=float) - np.asarray(y_c, dtype=float) * sigmoid(s))
+    return _eq2(s, t, y_r, y_c)[1]
 
 
 def _pooled_uplifts(
@@ -96,13 +103,8 @@ def drp_pooled_derivative(
 
 def _drp_batch_loss(pred: np.ndarray, batch: dict) -> tuple[float, np.ndarray]:
     """Adapter plugging Eq. 2 into :meth:`repro.nn.network.Network.fit`."""
-    s = pred[:, 0]
-    t = batch["t"]
-    y_r = batch["y_r"]
-    y_c = batch["y_c"]
-    value = drp_loss(s, t, y_r, y_c)
-    grad = drp_loss_gradient(s, t, y_r, y_c).reshape(-1, 1)
-    return value, grad
+    value, grad = _eq2(pred[:, 0], batch["t"], batch["y_r"], batch["y_c"])
+    return value, grad.reshape(-1, 1)
 
 
 class DRPModel(TrainableModel):

@@ -11,7 +11,9 @@ Design notes
 ------------
 * Layers expose ``forward(x, training)`` / ``backward(grad)`` and
   accumulate parameter gradients; optimizers consume
-  ``(parameters, gradients)`` pairs.
+  ``(parameters, gradients)`` pairs.  A training loop keeps the whole
+  model in one flat parameter array and one flat gradient array, so
+  Adam, zeroing and clipping run once per batch.
 * Losses return ``(value, grad_wrt_predictions)`` so composite causal
   losses (Eq. 2 of the paper, DragonNet's targeted regularisation, the
   Direct Rank ratio loss) plug in uniformly.

@@ -7,7 +7,13 @@ Each layer implements
 * ``backward(grad_out)`` — given dL/d(output), accumulate parameter
   gradients and return dL/d(input);
 * ``parameters()`` / ``gradients()`` — flat lists consumed by the
-  optimizers in :mod:`repro.nn.optimizers`.
+  optimizers in :mod:`repro.nn.optimizers`;
+* ``bind(params, grads)`` — rebind those arrays to same-shaped views.
+  A training loop uses it to place every layer in one flat parameter
+  buffer and one flat gradient buffer.
+
+Training caches (a layer's batch input, a dropout mask) are not model
+state: every layer drops them when pickled.
 
 Gradient correctness for every layer is verified by finite differences
 in ``tests/test_nn_gradcheck.py``.
@@ -54,6 +60,16 @@ class Layer:
     def gradients(self) -> list[np.ndarray]:
         """Gradient arrays aligned with :meth:`parameters`."""
         return []
+
+    def bind(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """Replace :meth:`parameters`/:meth:`gradients` by same-shaped views.
+
+        The caller has already copied the values into the views.  A
+        layer with parameters must override this, or a flat-buffer
+        optimizer step would update copies the layer never reads.
+        """
+        if params:
+            raise NotImplementedError(f"{type(self).__name__} has parameters but no bind()")
 
     def zero_grad(self) -> None:
         for g in self.gradients():
@@ -107,7 +123,9 @@ class Dense(Layer):
                 f"Dense expected input with {self.in_features} features, got {x.shape[1]}"
             )
         self._x = x if training else None
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -121,6 +139,17 @@ class Dense(Layer):
 
     def gradients(self) -> list[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
+
+    def bind(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        self.weight, self.bias = params
+        self.grad_weight, self.grad_bias = grads
+
+    def __getstate__(self) -> dict:
+        # the cached batch input is one batch's backprop cache, not model
+        # state (and would ship raw training rows with the model)
+        state = self.__dict__.copy()
+        state["_x"] = None
+        return state
 
 
 class Dropout(Layer):
@@ -197,7 +226,9 @@ class Activation(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward() called before a training-mode forward()")
-        return grad_out * self._grad_fn(self._x)
+        grad = self._grad_fn(self._x)
+        grad *= grad_out
+        return grad
 
     def __getstate__(self) -> dict:
         # the function pair is looked up from the name on load, and the

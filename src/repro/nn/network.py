@@ -12,12 +12,20 @@ the paper: shuffled batches, an arbitrary ``(pred, target) -> (value,
 grad)`` loss, optional validation-based early stopping with
 best-weights restoration, and gradient-norm clipping (small RCT
 datasets make uplift losses noisy, cf. §IV-B2 of the paper).
+
+A training loop keeps the model in a private ``_ParameterBuffer``: one
+flat parameter array and one flat gradient array, which every layer's
+weights and gradients are views of.  Zeroing, clipping and the
+optimizer step then each run once per batch over one array.  All three
+are elementwise, so the weights are bit-identical to updating array by
+array.  Each fit resets its optimizer, whose state belongs to that
+fit's buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +58,54 @@ def _slice_target(target, idx: np.ndarray):
     if isinstance(target, Mapping):
         return {k: np.asarray(v)[idx] for k, v in target.items()}
     return np.asarray(target)[idx]
+
+
+class _ParameterBuffer:
+    """One flat parameter buffer and one flat gradient buffer for a training loop.
+
+    Copies every parameter and gradient array of ``layers``, in order,
+    into :attr:`params` and :attr:`grads`, then rebinds each layer to
+    same-shaped views of them (:meth:`~repro.nn.layers.Layer.bind`).
+    The layers keep training and predicting through those views after
+    the loop ends.
+
+    Parameters
+    ----------
+    layers:
+        The layers to train; those without parameters are skipped.
+    """
+
+    def __init__(self, layers: Iterable[Layer]) -> None:
+        layers = [layer for layer in layers if layer.parameters()]
+        size = sum(p.size for layer in layers for p in layer.parameters())
+        self.params = np.empty(size)
+        self.grads = np.empty(size)
+        self._squares = np.empty(size)
+        # one view per parameter array, so the clip norm sums the same
+        # per-array terms in the same order as an array-by-array clip
+        self._square_views: list[np.ndarray] = []
+        offset = 0
+        for layer in layers:
+            params, grads = [], []
+            for p, g in zip(layer.parameters(), layer.gradients()):
+                span = slice(offset, offset + p.size)
+                params.append(self.params[span].reshape(p.shape))
+                grads.append(self.grads[span].reshape(p.shape))
+                self._square_views.append(self._squares[span].reshape(p.shape))
+                params[-1][...] = p
+                grads[-1][...] = g
+                offset += p.size
+            layer.bind(params, grads)
+
+    def zero_grad(self) -> None:
+        self.grads.fill(0.0)
+
+    def clip_grad_norm(self, max_norm: float) -> None:
+        """Scale the gradients down to global L2 norm ``max_norm`` if above it."""
+        np.multiply(self.grads, self.grads, out=self._squares)
+        total = np.sqrt(sum([float(sq.sum()) for sq in self._square_views]))
+        if total > max_norm and total > 0:
+            self.grads *= max_norm / total
 
 
 class Network:
@@ -129,7 +185,7 @@ class Network:
         return int(sum(p.size for p in self.parameters()))
 
     def get_weights(self) -> list[np.ndarray]:
-        """Deep copies of all parameters (for best-epoch restoration)."""
+        """Deep copies of all parameters."""
         return [p.copy() for p in self.parameters()]
 
     def set_weights(self, weights: Sequence[np.ndarray]) -> None:
@@ -173,7 +229,9 @@ class Network:
         loss:
             Callable ``(pred, batch_target) -> (value, grad_wrt_pred)``.
         optimizer:
-            Defaults to :class:`~repro.nn.optimizers.Adam` at 1e-3.
+            Defaults to :class:`~repro.nn.optimizers.Adam` at 1e-3.  It
+            is reset first: it steps this fit's flat parameter buffer,
+            so moments from an earlier fit would belong to other arrays.
         validation_data:
             Optional ``(x_val, target_val)`` monitored every epoch.
         patience:
@@ -197,9 +255,12 @@ class Network:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         gen = as_generator(rng)
         opt = optimizer if optimizer is not None else Adam()
+        opt.reset()
+        buffer = _ParameterBuffer(self.layers)
+        params, grads = [buffer.params], [buffer.grads]
         history = TrainingHistory()
         best_loss = np.inf
-        best_weights: list[np.ndarray] | None = None
+        best_weights: np.ndarray | None = None
         epochs_without_improvement = 0
 
         for epoch in range(epochs):
@@ -210,13 +271,13 @@ class Network:
                 idx = order[start : start + batch_size]
                 batch_x = x[idx]
                 batch_target = _slice_target(target, idx)
-                self.zero_grad()
+                buffer.zero_grad()
                 pred = self.forward(batch_x, training=True)
                 value, grad = loss(pred, batch_target)
                 self.backward(grad)
                 if clip_norm is not None:
-                    self._clip_gradients(clip_norm)
-                opt.step(self.parameters(), self.gradients())
+                    buffer.clip_grad_norm(clip_norm)
+                opt.step(params, grads)
                 epoch_loss += value
                 n_batches += 1
             mean_loss = epoch_loss / max(n_batches, 1)
@@ -239,7 +300,7 @@ class Network:
             if patience is not None:
                 if monitored < best_loss - min_delta:
                     best_loss = monitored
-                    best_weights = self.get_weights()
+                    best_weights = buffer.params.copy()
                     history.best_epoch = epoch
                     epochs_without_improvement = 0
                 else:
@@ -249,16 +310,8 @@ class Network:
                         break
 
         if patience is not None and best_weights is not None:
-            self.set_weights(best_weights)
+            buffer.params[...] = best_weights
         return history
-
-    def _clip_gradients(self, max_norm: float) -> None:
-        grads = self.gradients()
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-        if total > max_norm and total > 0:
-            scale = max_norm / total
-            for g in grads:
-                g *= scale
 
 
 def mlp(

@@ -1,9 +1,19 @@
 """First-order optimizers operating on ``(parameters, gradients)`` pairs.
 
 Parameters are updated **in place** so layers keep owning their arrays.
-Weight decay is decoupled (applied directly to the parameter), matching
-the L2-regularised training the uplift-modelling literature uses for
-small RCT datasets.
+Weight decay is added to the gradient (plain L2, not AdamW's decoupled
+form), matching the L2-regularised training the uplift-modelling
+literature uses for small RCT datasets.
+
+The training loops (:meth:`repro.nn.network.Network.fit` and the neural
+uplift models) hand :meth:`Adam.step` a single pair: the flat parameter
+and gradient buffers that hold the whole model, so the step runs once
+per batch.  Each fit starts from an empty optimizer state
+(:meth:`~repro.nn.network.Network.fit` resets the one it is given).
+The step works in place, in per-parameter scratch buffers kept between
+steps, with the same operands in the same order as the textbook
+expression, so its result is bit-identical to it (pinned in
+``tests/test_nn_optimizers.py``).
 """
 
 from __future__ import annotations
@@ -79,24 +89,45 @@ class Adam(Optimizer):
         self.eps = float(eps)
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
+        self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """``p -= lr_t * m / (sqrt(v) + eps)`` after the moment updates.
+
+        Computed in place: ``g' = g + wd * p``, ``m = b1 * m + (1 - b1) * g'``
+        and ``v = b2 * v + (1 - b2) * g' * g'``, each rounded exactly as
+        the expression reads.
+        """
         self._t += 1
         lr_t = self.learning_rate * (
             np.sqrt(1.0 - self.beta2**self._t) / (1.0 - self.beta1**self._t)
         )
         for p, g in zip(params, grads):
-            g = g + self.weight_decay * p
-            m = self._m.setdefault(id(p), np.zeros_like(p))
-            v = self._v.setdefault(id(p), np.zeros_like(p))
+            key = id(p)
+            if key not in self._m:
+                self._m[key] = np.zeros_like(p)
+                self._v[key] = np.zeros_like(p)
+                self._scratch[key] = (np.empty_like(p), np.empty_like(p))
+            m, v = self._m[key], self._v[key]
+            g_eff, tmp = self._scratch[key]
+            np.multiply(p, self.weight_decay, out=g_eff)
+            g_eff += g
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g_eff, 1.0 - self.beta1, out=tmp)
+            m += tmp
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr_t * m / (np.sqrt(v) + self.eps)
+            np.multiply(g_eff, 1.0 - self.beta2, out=tmp)
+            tmp *= g_eff
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp += self.eps
+            np.multiply(m, lr_t, out=g_eff)
+            g_eff /= tmp
+            p -= g_eff
 
     def reset(self) -> None:
         self._m.clear()
         self._v.clear()
+        self._scratch.clear()
         self._t = 0

@@ -1,10 +1,14 @@
 """Tests for the DRP model and its Eq. 2 loss."""
 
+import pickle
+
+import _parent_training as reference
 import numpy as np
 import pytest
 
 from repro.core.drp import (
     DRPModel,
+    _drp_batch_loss,
     drp_loss,
     drp_loss_gradient,
     drp_pooled_derivative,
@@ -61,6 +65,25 @@ class TestDrpLoss:
     def test_single_arm_derivative_rejected(self):
         with pytest.raises(ValueError, match="treated and control"):
             drp_pooled_derivative(0.5, np.ones(10), np.ones(10), np.ones(10))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loss_value_and_gradient_byte_equal_to_reference(self, seed):
+        # drp_loss, drp_loss_gradient and the training adapter share one
+        # implementation of Eq. 2; each must match the earlier standalone
+        # functions bit for bit
+        rng = np.random.default_rng(seed)
+        n = 257
+        s = rng.normal(scale=4.0, size=n)
+        t = rng.integers(0, 2, n)
+        y_r = (rng.random(n) < 0.3).astype(float)
+        y_c = rng.random(n)
+        args = (s, t, y_r, y_c)
+        assert drp_loss(*args) == reference.drp_loss(*args)
+        assert drp_loss_gradient(*args).tobytes() == reference.drp_loss_gradient(*args).tobytes()
+        batch = {"t": t, "y_r": y_r, "y_c": y_c}
+        got = _drp_batch_loss(s.reshape(-1, 1), batch)
+        want = reference.drp_batch_loss(s.reshape(-1, 1), batch)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 class TestDRPModel:
@@ -150,3 +173,41 @@ class TestDRPModel:
         b = DRPModel(hidden=16, epochs=5, n_restarts=1, random_state=3)
         b.fit(data.x, data.t, data.y_r, data.y_c)
         np.testing.assert_allclose(a.predict_roi(data.x), b.predict_roi(data.x))
+
+
+class TestPickledModelCarriesNoTrainingBatch:
+    """A model whose last forward was a training pass (``val_fraction=0``,
+    e.g. a retrainer's template) pickles without its layers' batch caches."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(0)
+        n = 400
+        x = rng.normal(size=(n, 12))
+        t = rng.integers(0, 2, n)
+        y_r = (rng.random(n) < 0.3 + 0.1 * t).astype(float)
+        y_c = (rng.random(n) < 0.2 + 0.1 * t).astype(float)
+        return x, t, y_r, y_c
+
+    def test_no_cached_batch_after_pickle(self, data):
+        model = DRPModel(
+            hidden=48, epochs=3, n_restarts=2, patience=None, val_fraction=0.0, random_state=0
+        ).fit(*data)
+        # the live model still holds the last batch: the pickle must not
+        assert any(getattr(layer, "_x", None) is not None for layer in model.network_.layers)
+        clone = pickle.loads(pickle.dumps(model))
+        for network in clone.networks_:
+            for layer in network.layers:
+                assert getattr(layer, "_x", None) is None
+                assert getattr(layer, "_mask", None) is None
+
+    def test_pickle_size_matches_early_stopped_model(self, data):
+        retrain_style = DRPModel(
+            hidden=48, epochs=3, n_restarts=2, patience=None, val_fraction=0.0, random_state=0
+        ).fit(*data)
+        early_stopped = DRPModel(hidden=48, epochs=3, n_restarts=2, random_state=0).fit(*data)
+        got = len(pickle.dumps(retrain_style.networks_))
+        want = len(pickle.dumps(early_stopped.networks_))
+        # equal up to the few bytes the dropout RNG's state integers vary
+        # by; one cached (batch, 48) input alone would add ~100 KB
+        assert abs(got - want) <= 64

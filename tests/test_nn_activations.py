@@ -1,9 +1,11 @@
 """Tests for repro.nn.activations, including numerical-stability properties."""
 
+import _parent_training as reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.nn.activations import (
     elu,
@@ -137,3 +139,61 @@ class TestSoftmax:
     def test_shift_invariance(self):
         x = np.array([0.1, 0.5, -0.3])
         np.testing.assert_allclose(softmax(x), softmax(x + 100.0))
+
+
+# ---------------------------------------------------------------------------
+# the fused training kernels against the two-branch forms they replaced
+# ---------------------------------------------------------------------------
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 800.0, -800.0, np.inf, -np.inf]
+special_or_any = st.one_of(st.sampled_from(SPECIALS), st.floats(allow_nan=False, width=64))
+# lengths past a SIMD block, so both the vector body and the scalar tail run
+float_arrays = hnp.arrays(np.float64, st.integers(1, 70), elements=special_or_any)
+
+
+class TestFusedKernelsMatchReference:
+    @given(float_arrays)
+    @settings(max_examples=200, deadline=None)
+    def test_elu_byte_equal(self, x):
+        assert elu(x).tobytes() == reference.elu(x).tobytes()
+
+    @given(float_arrays, st.floats(0.01, 5.0))
+    @settings(max_examples=200, deadline=None)
+    def test_elu_value_equal_any_alpha(self, x, alpha):
+        # alpha * expm1(x) may round a negative subnormal to -0.0, which
+        # the fused sum returns as +0.0: equal values, not equal bytes
+        np.testing.assert_array_equal(elu(x, alpha), reference.elu(x, alpha))
+
+    @given(float_arrays, st.one_of(st.just(1.0), st.floats(0.01, 5.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_elu_grad_byte_equal(self, x, alpha):
+        assert elu_grad(x, alpha).tobytes() == reference.elu_grad(x, alpha).tobytes()
+
+    @given(float_arrays)
+    @settings(max_examples=200, deadline=None)
+    def test_sigmoid_byte_equal(self, x):
+        assert sigmoid(x).tobytes() == reference.sigmoid(x).tobytes()
+
+    def test_training_batch_shapes_byte_equal(self):
+        # a DRP hidden layer's batch: (256, 48), C-contiguous and sliced
+        x = np.random.default_rng(0).normal(scale=3.0, size=(256, 48))
+        for got, want in [
+            (elu(x), reference.elu(x)),
+            (elu_grad(x), reference.elu_grad(x)),
+            (sigmoid(x[:, 0]), reference.sigmoid(x[:, 0])),
+        ]:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fn", [sigmoid, elu, elu_grad])
+    def test_nan_maps_to_nan(self, fn):
+        # only the NaN's bit pattern may differ from the reference
+        x = np.array([np.nan, -1.5, np.nan, 0.0, 2.0])
+        got, want = fn(x), getattr(reference, fn.__name__)(x)
+        assert np.isnan(got[[0, 2]]).all()
+        assert got[[1, 3, 4]].tobytes() == want[[1, 3, 4]].tobytes()
+
+    @pytest.mark.parametrize("fn", [sigmoid, elu, elu_grad])
+    def test_zero_dim_input(self, fn):
+        got = fn(np.float64(-0.25))
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == getattr(reference, fn.__name__)(np.float64(-0.25)).tobytes()

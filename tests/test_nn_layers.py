@@ -1,9 +1,11 @@
 """Tests for repro.nn.layers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.nn.layers import Activation, Dense, Dropout
+from repro.nn.layers import Activation, Dense, Dropout, Layer
 
 
 class TestDense:
@@ -68,6 +70,43 @@ class TestDense:
     def test_bad_init_raises(self):
         with pytest.raises(ValueError, match="init"):
             Dense(2, 2, init="uniform")
+
+    def test_pickle_drops_training_input(self):
+        layer = Dense(3, 2, rng=0)
+        layer.forward(np.ones((4, 3)), training=True)
+        assert layer._x is not None
+        clone = pickle.loads(pickle.dumps(layer))
+        assert clone._x is None
+        assert clone.weight.tobytes() == layer.weight.tobytes()
+        assert layer._x is not None  # pickling leaves the live layer alone
+
+    def test_forward_adds_bias_without_touching_it(self):
+        layer = Dense(2, 3, rng=0)
+        layer.bias[...] = [1.0, -2.0, 0.5]
+        x = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        out = layer.forward(x)
+        np.testing.assert_array_equal(out, x @ layer.weight + layer.bias)
+        np.testing.assert_array_equal(layer.bias, [1.0, -2.0, 0.5])
+
+    def test_bind_rebinds_to_views(self):
+        layer = Dense(2, 3, rng=0)
+        flat = np.zeros(2 * 3 + 3)
+        grads = np.zeros_like(flat)
+        layer.bind([flat[:6].reshape(2, 3), flat[6:]], [grads[:6].reshape(2, 3), grads[6:]])
+        flat[6:] = 7.0
+        np.testing.assert_array_equal(layer.forward(np.zeros((1, 2))), [[7.0, 7.0, 7.0]])
+
+    def test_bind_required_for_layers_with_parameters(self):
+        class Scale(Layer):
+            def __init__(self):
+                self.w = np.ones(1)
+
+            def parameters(self):
+                return [self.w]
+
+        with pytest.raises(NotImplementedError, match="bind"):
+            Scale().bind([np.ones(1)], [np.zeros(1)])
+        Dropout(0.1).bind([], [])  # nothing to rebind
 
 
 class TestDropout:

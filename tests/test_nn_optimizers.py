@@ -1,7 +1,10 @@
 """Tests for repro.nn.optimizers."""
 
+import _parent_training as reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.optimizers import SGD, Adam
 
@@ -97,3 +100,41 @@ class TestAdam:
         opt.step([a, b], [2 * a, 2 * b])
         assert a[0] < 2.0
         assert b[0, 0] < 1.0 and b[0, 1] > -1.0
+
+
+class TestAdamMatchesReference:
+    """The in-place step against the textbook expression it replaced."""
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(1, 40)), min_size=1, max_size=4),
+        st.sampled_from([0.0, 1e-5, 1e-4, 0.3]),
+        st.floats(1e-4, 0.5),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_step_byte_equal(self, shapes, weight_decay, learning_rate, steps, seed):
+        rng = np.random.default_rng(seed)
+        params = [rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 3, shape) for shape in shapes]
+        params[0].flat[0] = -0.0
+        ref_params = [p.copy() for p in params]
+        opt = Adam(learning_rate=learning_rate, weight_decay=weight_decay)
+        ref = Adam(learning_rate=learning_rate, weight_decay=weight_decay)
+        for _ in range(steps):
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.uniform(-8, 4, p.shape) for p in params]
+            grads[0].flat[-1] = 0.0
+            opt.step(params, grads)
+            reference.adam_step(ref, ref_params, [g.copy() for g in grads])
+        assert [p.tobytes() for p in params] == [p.tobytes() for p in ref_params]
+
+    def test_step_leaves_gradients_untouched(self):
+        opt = Adam(learning_rate=0.1, weight_decay=0.01)
+        p, g = np.array([1.0, -2.0]), np.array([0.5, 0.25])
+        opt.step([p], [g])
+        assert g.tolist() == [0.5, 0.25]
+
+    def test_reset_drops_scratch(self):
+        opt = Adam()
+        opt.step([np.ones(3)], [np.ones(3)])
+        opt.reset()
+        assert opt._scratch == {}
