@@ -128,7 +128,7 @@ from repro.serving import (
     TrafficReplay,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "ABTest",

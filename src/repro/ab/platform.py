@@ -288,10 +288,19 @@ class Platform:
             Optional dedicated generator for the arrival order; by
             default the platform's own stream is used.
         """
-        rng = self._rng if random_state is None else as_generator(random_state)
-        for i in rng.permutation(cohort.n):
-            i = int(i)
+        for i in self.arrival_order(cohort, random_state).tolist():
             yield i, cohort.x[i]
+
+    def arrival_order(
+        self,
+        cohort: RCTDataset,
+        random_state: int | np.random.Generator | None = None,
+    ) -> np.ndarray:
+        """The cohort indices in the random order :meth:`iter_events`
+        streams them (one permutation draw), for callers that take the
+        arrivals in blocks."""
+        rng = self._rng if random_state is None else as_generator(random_state)
+        return rng.permutation(cohort.n)
 
     def realize_arm(
         self,

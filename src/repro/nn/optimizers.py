@@ -14,6 +14,10 @@ The step works in place, in per-parameter scratch buffers kept between
 steps, with the same operands in the same order as the textbook
 expression, so its result is bit-identical to it (pinned in
 ``tests/test_nn_optimizers.py``).
+
+State is keyed by ``id(p)`` beside a reference to ``p`` itself: an
+entry serves only the array that created it, and holding the array
+keeps its id from passing to a new one while the entry lives.
 """
 
 from __future__ import annotations
@@ -55,12 +59,16 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
         self._velocity: dict[int, np.ndarray] = {}
+        self._params: dict[int, np.ndarray] = {}  # the array each entry serves
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         for p, g in zip(params, grads):
             update = g + self.weight_decay * p
             if self.momentum > 0:
-                v = self._velocity.setdefault(id(p), np.zeros_like(p))
+                if self._params.get(id(p)) is not p:
+                    self._params[id(p)] = p
+                    self._velocity[id(p)] = np.zeros_like(p)
+                v = self._velocity[id(p)]
                 v *= self.momentum
                 v += update
                 update = v
@@ -68,6 +76,7 @@ class SGD(Optimizer):
 
     def reset(self) -> None:
         self._velocity.clear()
+        self._params.clear()
 
 
 class Adam(Optimizer):
@@ -90,6 +99,7 @@ class Adam(Optimizer):
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
         self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._params: dict[int, np.ndarray] = {}  # the array each entry serves
         self._t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -105,7 +115,8 @@ class Adam(Optimizer):
         )
         for p, g in zip(params, grads):
             key = id(p)
-            if key not in self._m:
+            if self._params.get(key) is not p:
+                self._params[key] = p
                 self._m[key] = np.zeros_like(p)
                 self._v[key] = np.zeros_like(p)
                 self._scratch[key] = (np.empty_like(p), np.empty_like(p))
@@ -130,4 +141,5 @@ class Adam(Optimizer):
         self._m.clear()
         self._v.clear()
         self._scratch.clear()
+        self._params.clear()
         self._t = 0

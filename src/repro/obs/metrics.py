@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "Counter",
@@ -449,6 +449,33 @@ class Histogram:
                 idx = math.ceil(math.log(value) / self._log_gamma)
                 self._buckets[idx] = self._buckets.get(idx, 0) + 1
 
+    def record_block(self, values: Iterable[float]) -> None:
+        """Record ``values`` in order: the same state as one
+        :meth:`record` per value (``sum`` is still one add per value, in
+        order), under one lock.  A negative or NaN value raises after
+        the values before it were recorded, as the scalar calls would."""
+        values = [float(v) for v in values]
+        bad = next((i for i, v in enumerate(values) if v < 0.0 or math.isnan(v)), None)
+        log, ceil, log_gamma = math.log, math.ceil, self._log_gamma
+        floor, buckets = self.min_trackable, self._buckets
+        with self._lock:
+            total, low, high = self._sum, self._min, self._max
+            for value in values[:bad]:
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+                if value <= floor:
+                    self._zero += 1
+                else:
+                    idx = ceil(log(value) / log_gamma)
+                    buckets[idx] = buckets.get(idx, 0) + 1
+            self._count += len(values) if bad is None else bad
+            self._sum, self._min, self._max = total, low, high
+        if bad is not None:
+            self.record(values[bad])  # raises
+
     @property
     def count(self) -> int:
         return self._count
@@ -609,6 +636,9 @@ class _NullHistogram:
     sum = 0.0
 
     def record(self, value: float) -> None:
+        pass
+
+    def record_block(self, values: Iterable[float]) -> None:
         pass
 
     def quantile(self, q: float) -> float:

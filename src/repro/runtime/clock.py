@@ -22,6 +22,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Protocol, runtime_checkable
 
+import numpy as np
+
 __all__ = ["Clock", "DeadlineLoop", "ManualClock", "SystemClock"]
 
 
@@ -53,6 +55,19 @@ class ManualClock:
         if seconds < 0:
             raise ValueError(f"cannot advance by a negative duration, got {seconds}")
         self._now += float(seconds)
+        return self._now
+
+    def advance_to(self, at: float) -> float:
+        """Move time forward to exactly ``at`` (never backward); returns now.
+
+        For a caller that computed a run of arrival times itself: the
+        clock lands on the very float it computed, which ``advance(at -
+        now())`` does not promise (the difference can round).
+        """
+        at = float(at)
+        if at < self._now:
+            raise ValueError(f"cannot move the clock back from {self._now} to {at}")
+        self._now = at
         return self._now
 
     def __repr__(self) -> str:
@@ -111,6 +126,16 @@ class DeadlineLoop:
         if not self._deadlines:
             return None
         return min(at for at, _cb in self._deadlines.values())
+
+    def quiet_count(self, times) -> int:
+        """How many leading readings of non-decreasing clock ``times``
+        :meth:`poll` would fire nothing at — the first reading counted
+        out is the first at which some deadline falls due, under the
+        same ``at <= now + epsilon`` test :meth:`poll` applies."""
+        due = self.next_deadline()
+        if due is None or len(times) == 0 or due > times[-1] + self.epsilon:
+            return len(times)
+        return int(np.searchsorted(np.asarray(times, dtype=float) + self.epsilon, due))
 
     def poll(self) -> int:
         """Fire every overdue callback (deadline order); return the count."""

@@ -63,7 +63,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs import NULL_REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
-from repro.runtime import Clock, DeadlineLoop, ExecutionBackend, SerialBackend, SystemClock
+from repro.runtime import (
+    Clock,
+    DeadlineLoop,
+    ExecutionBackend,
+    ManualClock,
+    SerialBackend,
+    SystemClock,
+)
 from repro.serving.policy import DecisionPolicy, GreedyROIPolicy
 from repro.serving.registry import ModelRegistry
 
@@ -160,10 +167,10 @@ class _ResultTable:
         """Live (pending or ready) slots."""
         return int(np.count_nonzero(self.state[: self.stop - self.base] != _FREE))
 
-    def open(self, n: int, version: int = -1) -> int:
-        """Issue ``n`` consecutive pending rids served by ``version``
-        (``-1``: known only once :meth:`resolve` delivers it); returns
-        the first."""
+    def open(self, n: int, version=-1) -> int:
+        """Issue ``n`` consecutive pending rids served by ``version`` (one
+        id, or one per rid; ``-1``: known only once :meth:`resolve`
+        delivers it); returns the first."""
         lo = self.stop - self.base
         if lo + n > len(self._state):
             lo = self._compact(n)
@@ -238,6 +245,17 @@ class _ResultTable:
         self.state[idx] = _FREE
         return self.score[idx].copy()
 
+    def take_ready(self, rids: range) -> tuple[np.ndarray, np.ndarray]:
+        """Free the longest ready prefix of the consecutive ``rids`` and
+        return its ``(versions, scores)``."""
+        lo, hi = rids.start - self.base, rids.stop - self.base
+        if rids.step != 1 or not 0 <= lo <= hi <= self.stop - self.base:
+            raise KeyError(rids)
+        waiting = self.state[lo:hi] != _READY
+        stop = lo + (int(waiting.argmax()) if np.count_nonzero(waiting) else hi - lo)
+        self.state[lo:stop] = _FREE
+        return self.version[lo:stop].copy(), self.score[lo:stop].copy()
+
     def drain(self) -> list[tuple[int, int, float]]:
         """Free every ready slot; ``(rid, version, score)`` in rid order."""
         idx = np.flatnonzero(self.state[: self.stop - self.base] == _READY)
@@ -287,12 +305,12 @@ class _PendingBlock:
         self.stamps[self.n] = stamp
         self.n += 1
 
-    def append_block(self, rid0: int, block: np.ndarray, stamp: float) -> None:
+    def append_block(self, rids: np.ndarray, block: np.ndarray, stamps: np.ndarray) -> None:
         take = block.shape[0]
         self._grow_to(self.n + take)
         self.rows[self.n : self.n + take] = block
-        self.rids[self.n : self.n + take] = np.arange(rid0, rid0 + take)
-        self.stamps[self.n : self.n + take] = stamp
+        self.rids[self.n : self.n + take] = rids
+        self.stamps[self.n : self.n + take] = stamps
         self.n += take
 
     def view(self) -> np.ndarray:
@@ -530,30 +548,33 @@ class ScoringEngine:
         return rid
 
     def submit_batch(
-        self, x: np.ndarray, keys: "list[str | int] | None" = None
+        self,
+        x: np.ndarray,
+        keys: "Sequence[str | int | None] | None" = None,
+        stamps: np.ndarray | None = None,
     ) -> range:
         """Enqueue a block of requests; returns their ids, in row order,
         as a ``range`` (hand it to :meth:`take_block`).
 
-        Semantically **exactly** N :meth:`submit` calls — same scores,
-        stats, cache hits, version attribution, flush counters, and
-        latency sketch (pinned under a
-        :class:`~repro.runtime.ManualClock`; under a wall clock the
-        per-row submit stamps drift apart by however long N calls
-        take, which a single block stamp legitimately doesn't).  The
-        difference is the constant factor: when the registry's routing
-        is static (:attr:`~repro.serving.registry.ModelRegistry.
-        routing_is_static`) and the cache is off, the block is
-        vectorised — one route call, one clock stamp, one result-table
-        slice per buffered slice, and rows landing in the columnar
-        buffer as slab copies — which is what the ≥2M scores/s batched
-        target is measured on.  With a cache or an active challenger
-        each row goes through :meth:`submit` (it must probe / draw
-        exactly as ``submit`` would); the ids are contiguous either way.
+        Exactly N :meth:`submit` calls — same routing and registry RNG
+        draws, cache probes and hits, version attribution, stats,
+        flushes and flush counters, deadline arming and latencies.
+        ``stamps`` are the rows' arrival times on the engine's
+        :class:`~repro.runtime.ManualClock` (non-decreasing, none
+        before its reading): the block then equals, for each row,
+        ``clock.advance_to(stamps[i])`` followed by ``submit(x[i])``,
+        and leaves the clock at ``stamps[-1]``.  Without ``stamps``
+        every row arrives at the clock's current reading (under a wall
+        clock, N calls would each read it; the block reads it once).
 
-        Mid-block ``batch_size`` boundaries flush exactly as they
-        would per-row, so flush counters and batch shapes are
-        identical to the scalar path.
+        The rows go in slices (see :meth:`room`) that end where a flush
+        could fire: at the row that could fill the batch, or before a
+        row at which the flush deadline could fall due.  A slice is
+        routed in one :meth:`~repro.serving.registry.ModelRegistry.
+        route_block` call, probes the cache row by row when caching is
+        on, and lands in the columnar buffer as one slab copy per
+        version.  Rows whose width differs from the buffered rows'
+        raise before any row is taken.
         """
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim != 2:
@@ -561,33 +582,118 @@ class ScoringEngine:
         n = x.shape[0]
         if keys is not None and len(keys) != n:
             raise ValueError(f"got {len(keys)} keys for {n} rows")
+        clock = self.clock
+        if stamps is not None:
+            if not isinstance(clock, ManualClock):
+                raise ValueError("stamps need an engine on a ManualClock")
+            stamps = np.asarray(stamps, dtype=float)
+            if stamps.shape != (n,):
+                raise ValueError(f"got {stamps.shape} stamps for {n} rows")
+            if n and (stamps[0] < clock.now() or np.count_nonzero(stamps[1:] < stamps[:-1])):
+                raise ValueError("stamps must be non-decreasing and not before the clock")
+        for block in self._pending.values():
+            if block.rows.shape[1] != x.shape[1]:
+                raise ValueError(
+                    f"rows have {x.shape[1]} features, buffered rows {block.rows.shape[1]}"
+                )
         rid0 = self._table.stop
-        if n == 0:
-            return range(rid0, rid0)
-        if self.cache_size > 0 or not self.registry.routing_is_static:
-            # per-row semantics genuinely needed: cache probes and RNG
-            # routing must happen once per row, in order
-            ids = [self.submit(x[i], key=None if keys is None else keys[i]) for i in range(n)]
-            return range(rid0, rid0 + len(ids))
-        if self._deadlines is not None:
-            self._deadlines.poll()
-        vid = self.registry.route(None).version  # static: champion, no RNG
-        now = self.clock.now() if self.clock is not None else 0.0
-        start = 0
-        while start < n:
-            # stop at every batch_size boundary exactly as the scalar
-            # path would (flush counters stay identical); ids and
-            # counters advance per slice, so a raising mid-block flush
-            # leaves the rows after it uncounted, as N submits would
-            take = min(max(self.batch_size - self._n_pending, 1), n - start)
-            self._c_requests.inc(take)
-            self._c_cache_misses.inc(take)
-            block = self._block(vid, x.shape[1], take)
-            block.append_block(self._table.stop, x[start : start + take], now)
-            self._table.open(take, vid)
-            start += take
-            self._buffered(take)
+        pos = 0
+        while pos < n:
+            if stamps is not None:
+                clock.advance_to(stamps[pos])
+            if self._deadlines is not None:
+                self._deadlines.poll()
+            end = pos + self.room(n - pos, None if stamps is None else stamps[pos:])
+            if stamps is not None:
+                # nothing reads the clock inside a slice but a flush
+                # that the last row triggers, at that row's time
+                clock.advance_to(stamps[end - 1])
+            self._submit_slice(
+                x[pos:end],
+                None if keys is None else keys[pos:end],
+                None if stamps is None else stamps[pos:end],
+            )
+            pos = end
         return range(rid0, rid0 + n)
+
+    def room(self, n: int, times: np.ndarray | None = None) -> int:
+        """How many of the next ``n`` arrivals — at the non-decreasing
+        clock readings ``times``, or all at the current reading — one
+        :meth:`submit_batch` slice takes: a flush can then only come
+        before the first of them or with the last.
+
+        At most ``batch_size - n_pending`` (only the last can fill the
+        batch), and none after the first arrival at which a flush
+        deadline could fall due: the pending one, or with nothing
+        pending the earliest one an arrival could arm (the first
+        arrival's time plus ``max_latency_ms``).  A pending deadline
+        due at the first arrival fires before that arrival is taken,
+        as :meth:`submit` polls first, so it bounds nothing after.
+        """
+        if self._deadlines is None:
+            return max(1, min(n, self.batch_size - self._n_pending))
+        first = self.clock.now() if times is None else float(times[0])
+        epsilon = self._deadlines.epsilon  # the loop fires at <= now + epsilon
+        due = self._deadlines.next_deadline()
+        pending = self._n_pending
+        if due is not None and due <= first + epsilon:
+            due, pending = None, 0  # it fires before the first arrival is taken
+        k = max(1, min(n, self.batch_size - pending))
+        if k == 1:
+            return 1
+        if due is None:
+            due = first + self.max_latency_ms / 1000.0
+        later = np.full(k - 1, first) if times is None else np.asarray(times[1:k], dtype=float)
+        return 1 + int(np.searchsorted(later + epsilon, due))
+
+    def _submit_slice(self, rows: np.ndarray, keys, stamps: np.ndarray | None) -> None:
+        """Submit rows among which a flush can only come with the last."""
+        k = rows.shape[0]
+        versions = self.registry.route_block(k, keys)
+        self._c_requests.inc(k)
+        rid = self._table.stop
+        self._table.open(k, versions if k > 1 else int(versions[0]))
+        version_ids = versions.tolist()
+        miss = range(k)
+        if self.cache_size > 0:
+            get, width = self._cache.get, rows.shape[1] * rows.itemsize
+            data = rows.tobytes()
+            cached = [get(v, data[i * width : (i + 1) * width]) for i, v in enumerate(version_ids)]
+            miss = [i for i, score in enumerate(cached) if score is None]
+            if len(miss) < k:
+                hits = [i for i, score in enumerate(cached) if score is not None]
+                self._table.resolve(rid + np.array(hits), [cached[i] for i in hits])
+                self._c_cache_hits.inc(len(hits))
+                for i in hits:
+                    self.registry.get(version_ids[i]).cache_hits += 1
+        if not miss:
+            return
+        self._c_cache_misses.inc(len(miss))
+        first = miss[0]
+        if stamps is None:
+            stamps = np.full(k, self.clock.now() if self.clock is not None else 0.0)
+        # pending blocks in order of their version's first row, as
+        # row-by-row submits would create them
+        by_version: dict[int, list[int]] = {}
+        for i in miss:
+            by_version.setdefault(version_ids[i], []).append(i)
+        for version_id, take in by_version.items():
+            block = self._block(version_id, rows.shape[1], len(take))
+            if len(take) == k:  # the whole slice
+                block.append_block(np.arange(rid, rid + k), rows, stamps)
+            else:
+                take = np.array(take)
+                block.append_block(rid + take, rows[take], stamps[take])
+        self._n_pending += len(miss)
+        self._g_queue.set(self._n_pending)
+        if self._n_pending == len(miss) and self._deadlines is not None:
+            self._deadlines.schedule(
+                _FLUSH_KEY,
+                float(stamps[first]) + self.max_latency_ms / 1000.0,
+                self._flush_on_deadline,
+            )
+        if self._n_pending >= self.batch_size:
+            self.flush(reason="batch_full")
 
     def _block(self, version_id: int, d: int, take: int) -> _PendingBlock:
         block = self._pending.get(version_id)
@@ -714,21 +820,25 @@ class ScoringEngine:
                 # tiny race where done() flips before callbacks run
                 # falls back to the reap time
                 now = done_stamp.get("at", self.clock.now())
-                for seconds in (now - batch.stamps[:nb]).tolist():
-                    self._log_latency(seconds)
+                self._log_latencies((now - batch.stamps[:nb]).tolist())
             if self.cache_size > 0:
-                for row, score in zip(batch.rows[:nb], scores.tolist()):
-                    self._cache.put(version_id, row.tobytes(), score)
+                put, width = self._cache.put, batch.rows.shape[1] * batch.rows.itemsize
+                data = batch.rows[:nb].tobytes()
+                for i, score in enumerate(scores.tolist()):
+                    put(version_id, data[i * width : (i + 1) * width], score)
 
-    def _log_latency(self, seconds: float) -> None:
+    def _log_latencies(self, seconds: list[float]) -> None:
         # the sketch sees everything (bounded memory, no eviction) —
         # quantiles stay unbiased however long the engine lives
-        self.latency_hist.record(max(0.0, seconds))
-        self.latencies.append(seconds)
+        self.latency_hist.record_block([s if s > 0.0 else 0.0 for s in seconds])
+        self.latencies.extend(seconds)
         cap = self.latency_log_size
         if cap is not None and len(self.latencies) > 2 * cap:
-            # drop the oldest half-block; amortised O(1) per append
-            drop = len(self.latencies) - cap
+            # the log drops its oldest entries down to ``cap`` whenever
+            # it passes ``2 * cap``; keep what appending one by one
+            # would have kept (amortised O(1) per entry)
+            past = len(self.latencies) - (2 * cap + 1)
+            drop = len(self.latencies) - (cap + past % (cap + 1))
             del self.latencies[:drop]
             self.latencies_dropped += drop
 
@@ -811,6 +921,17 @@ class ScoringEngine:
             if self._inflight:
                 self._reap(wait=False)
         return self._table.take(request_id)
+
+    def take_ready(self, rids: range) -> tuple[np.ndarray, np.ndarray]:
+        """Pop the longest ready prefix of the consecutive ``rids`` — a
+        FIFO of waiting requests — as ``(versions, scores)``.
+
+        Advances the engine first, as :meth:`poll` does.  The bulk
+        counterpart of taking the head request while
+        :meth:`has_result` holds, reading :meth:`version_of` first.
+        """
+        self.poll()
+        return self._table.take_ready(rids)
 
     def take_block(self, rids: Sequence[int]) -> np.ndarray:
         """Pop a whole ``submit_batch`` worth of scores as one array.

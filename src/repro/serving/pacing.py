@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -135,6 +137,21 @@ class _Window:
             i = self.size
         self.stop = i + 1
         return i
+
+    def write_block(self, *values: np.ndarray) -> None:
+        """Append rows (one array per column), compacting exactly where
+        row-by-row :meth:`slot` claims would."""
+        n = len(values[0])
+        pos = 0
+        while pos < n:
+            if self.stop == 2 * self.size:
+                self.columns[:, : self.size] = self.columns[:, self.size :]
+                self.stop = self.size
+            take = min(n - pos, 2 * self.size - self.stop)
+            for column, value in zip(self.columns, values):
+                column[self.stop : self.stop + take] = value[pos : pos + take]
+            self.stop += take
+            pos += take
 
     def live(self) -> np.ndarray:
         """The window as a ``(k, len(self))`` view, oldest row first."""
@@ -283,6 +300,11 @@ class BudgetPacer:
             raise ValueError(f"score must be finite, got {score}")
         if not 0.0 < cost < math.inf:  # rejects NaN too
             raise ValueError(f"cost must be finite and > 0 (Assumption 4), got {cost}")
+        self._record(score, cost)
+        return self._admit(score, cost, self.n_seen)
+
+    def _record(self, score: float, cost: float) -> None:
+        """Count one validated arrival into the window; refresh when due."""
         self.n_seen += 1
         self._c_offers.inc()
         self.offered_cost += cost
@@ -296,23 +318,111 @@ class BudgetPacer:
         ):
             self._refresh()
 
-        progress = min(1.0, self.n_seen / self.horizon)
+    def _admit(self, score: float, cost: float, n_seen: int) -> bool:
+        """The admission rule for the ``n_seen``-th arrival: the budget
+        and curve cap, then the threshold."""
+        progress = min(1.0, n_seen / self.horizon)
         curve_cap = self.budget * min(
             1.0, float(self.target_curve(progress)) + self.curve_slack
         )
         cap = min(self.budget, curve_cap)
         if self.spent + cost > cap:
             return False
-        # same boundary as the _refresh trigger above: the arrival that
+        # same boundary as the _refresh trigger: the arrival that
         # completes warmup fits the first threshold and is already
         # gated by it (a fresh fit must never be ignored)
-        if self.n_seen >= self.warmup and score < self.threshold_:
+        if n_seen >= self.warmup and score < self.threshold_:
             return False
         self.n_admitted += 1
         self.spent += cost
         self._c_admits.inc()
         self._g_spend.set(self.spent)
         return True
+
+    def offer_block(self, scores, costs) -> tuple[np.ndarray, np.ndarray]:
+        """Decide the leading arrivals of a block exactly as one
+        :meth:`offer` each.
+
+        Returns ``(admitted, spent)`` for the ``k >= 1`` arrivals
+        decided: each one's decision and the cumulative spend after it.
+        The block stops before the next arrival that would refresh the
+        threshold (a refreshing arrival is only ever decided first), so
+        the caller can feed the decided arrivals' outcomes back
+        (:meth:`observe_outcome_block`) before that refresh reads them
+        — the order :meth:`offer` / :meth:`observe_outcome` pairs give.
+        Call again with the rest.
+
+        Between refreshes the threshold is fixed, so the decisions are
+        one vectorised threshold test plus a running-spend cap check;
+        from the first arrival the cap rejects on, the rest go through
+        :meth:`offer`'s own rule one by one.  An invalid score or cost
+        raises where :meth:`offer` would, after the arrivals before it.
+        """
+        scores = np.asarray(scores, dtype=float)
+        costs = np.asarray(costs, dtype=float)
+        if scores.shape != costs.shape or scores.ndim != 1:
+            raise ValueError(f"scores {scores.shape} and costs {costs.shape} must be equal 1-d")
+        if scores.size == 0:
+            return np.zeros(0, dtype=bool), np.zeros(0)
+        n0 = self.n_seen
+        to_refresh = max(self.warmup, self._last_refresh + self.refresh_every) - n0
+        k = min(scores.size, self.refresh_every if to_refresh <= 1 else to_refresh - 1)
+        scores, costs = scores[:k], costs[:k]
+        valid = np.isfinite(scores)
+        valid &= costs > 0.0
+        valid &= costs < math.inf
+        if np.count_nonzero(valid) < k:
+            # offer() raises on the first invalid arrival
+            admitted = [self.offer(score, cost) for score, cost in zip(scores.tolist(), costs.tolist())]
+            return np.array(admitted), np.full(k, self.spent)  # pragma: no cover
+        first = 0
+        if to_refresh <= 1:
+            self._record(float(scores[0]), float(costs[0]))  # refreshes
+            first = 1
+        if k > first:
+            self.n_seen = n0 + k
+            self._c_offers.inc(k - first)
+            self.offered_cost = reduce(add, costs[first:].tolist(), self.offered_cost)
+            self._traffic.write_block(scores[first:], costs[first:])
+
+        # float arrival counts are exact, so n / horizon rounds as the
+        # scalar rule's int division does
+        n_seen = np.arange(n0 + 1.0, n0 + k + 1.0)
+        cap = n_seen / self.horizon
+        np.minimum(cap, 1.0, out=cap)  # progress
+        if self.target_curve is not _uniform_curve:
+            cap = np.array([float(self.target_curve(p)) for p in cap.tolist()])
+        cap += self.curve_slack
+        # np.fmin is Python's min here: it keeps the bound against NaN
+        np.fmin(cap, 1.0, out=cap)
+        cap *= self.budget
+        np.fmin(cap, self.budget, out=cap)
+        admitted = scores < self.threshold_
+        np.logical_not(admitted, out=admitted)
+        if n0 + 1 < self.warmup:
+            admitted |= n_seen < self.warmup
+        # running spend if every arrival above the threshold is admitted:
+        # spent + cost is the very add the cap test and the admission make
+        spent = costs * admitted
+        spent[0] += self.spent
+        np.cumsum(spent, out=spent)
+        capped = spent > cap
+        capped &= admitted
+        stop = int(capped.argmax()) if np.count_nonzero(capped) else k
+        if stop:
+            n_admit = int(np.count_nonzero(admitted[:stop]))
+            if n_admit:
+                self.n_admitted += n_admit
+                self.spent = float(spent[stop - 1])
+                self._c_admits.inc(n_admit)
+                self._g_spend.set(self.spent)
+        if stop < k:
+            # from the first arrival the cap rejects, offer()'s own rule
+            rows = zip(scores[stop:].tolist(), costs[stop:].tolist(), range(n0 + 1 + stop, n0 + k + 1))
+            for i, (score, cost, n) in enumerate(rows, start=stop):
+                admitted[i] = self._admit(score, cost, n)
+                spent[i] = self.spent
+        return admitted, spent
 
     def observe_outcome(self, t: int, y_r: float, y_c: float) -> None:
         """Feed back one realised outcome (treated flag, revenue, cost).
@@ -333,6 +443,21 @@ class BudgetPacer:
         ts[i] = float(t)
         revenues[i] = y_r
         costs[i] = y_c
+
+    def observe_outcome_block(self, t, y_r, y_c) -> None:
+        """Feed back a block of realised outcomes, in order: the same
+        window as one :meth:`observe_outcome` each (which raises at the
+        first invalid one, after the outcomes before it)."""
+        t = np.asarray(t)
+        y_r = np.asarray(y_r, dtype=float)
+        y_c = np.asarray(y_c, dtype=float)
+        binary = t.dtype == bool or ((t == 0) | (t == 1)).all()
+        if not (binary and np.isfinite(y_r).all() and np.isfinite(y_c).all()):
+            # observe_outcome() raises on the first invalid outcome
+            for row in zip(t.tolist(), y_r.tolist(), y_c.tolist()):
+                self.observe_outcome(*row)
+            return  # pragma: no cover
+        self._outcomes.write_block(t.astype(float), y_r, y_c)
 
     def rebudget(self, budget: float) -> None:
         """Reset the budget mid-stream (fleet slice rebalancing).

@@ -56,8 +56,11 @@ all of this when given a ``promoter``::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.runtime import Clock, DeadlineLoop, SystemClock
@@ -76,6 +79,19 @@ _RAMP_KEY = "ramp"  # the promoter's single deadline-loop slot
 #: counters are pre-adopted from this set so the lifecycle path never
 #: touches the metrics registry (the obs hot-path contract, RPR005)
 EVENT_KINDS = ("start", "ramp", "promote", "kill", "confirm", "rollback", "abort")
+
+
+def _normal_quantile(q: float) -> float:
+    """Standard normal quantile for ``q`` in (0.5, 1), by bisection on
+    :func:`math.erf` (returns the bracket's lower end)."""
+    lo, hi = 0.0, 64.0
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < q:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -206,6 +222,10 @@ class AutoPromoter:
         self.check_every = int(check_every)
         self.hold_decided = int(hold_decided)
         self.auto_start = bool(auto_start)
+        # a Student-t quantile is never below the normal one, so a delta
+        # within z standard errors cannot exclude zero at any df: the
+        # gate skips the interval there (the margin covers rounding)
+        self._z_screen = _normal_quantile(1.0 - 0.5 * (1.0 - self.level)) * (1.0 - 1e-6)
 
         self._loop = DeadlineLoop(self.clock)
         self._state = IDLE
@@ -243,6 +263,24 @@ class AutoPromoter:
     def next_deadline(self) -> float | None:
         """Clock time of the pending ramp advance, or None."""
         return self._loop.next_deadline()
+
+    def quiet_observations(self) -> float:
+        """How many of the next :meth:`observe` calls only record: they
+        reach no ``check_every`` gate and start no experiment
+        (``math.inf`` while idle with nothing to start)."""
+        if self._state == IDLE:
+            return 0 if self._would_start() else math.inf
+        return self.check_every - self._since_check - 1
+
+    def quiet_polls(self, times) -> int:
+        """How many leading :meth:`poll` calls, made at the non-decreasing
+        clock readings ``times``, would do nothing."""
+        if self._invalidated() or self._would_start():
+            return 0
+        return self._loop.quiet_count(times)
+
+    def _would_start(self) -> bool:
+        return self._state == IDLE and self.auto_start and self.registry.challenger is not None
 
     def _event(self, kind: str, version: int, ci: MeanCI | None = None) -> None:
         self.events.append(
@@ -305,11 +343,36 @@ class AutoPromoter:
             self._since_check = 0
             self._check()
 
+    def observe_block(self, versions, treated, y_r, y_c) -> None:
+        """Record a block of decided requests' outcomes: the same
+        ledgers, gates and actions as one :meth:`observe` each.  Runs of
+        observations that only record go to the ledgers as blocks; each
+        observation that reaches a gate (or starts an experiment) goes
+        through :meth:`observe` itself."""
+        versions = np.asarray(versions, dtype=np.int64)
+        treated = np.asarray(treated, dtype=bool)
+        y_r = np.asarray(y_r, dtype=float)
+        y_c = np.asarray(y_c, dtype=float)
+        n = versions.size
+        j = 0
+        while j < n:
+            quiet = min(self.quiet_observations(), n - j)
+            if quiet:
+                self._c_observations.inc(quiet)
+                rows = slice(j, j + quiet)
+                self.registry.record_outcome_block(versions[rows], treated[rows], y_r[rows], y_c[rows])
+                if self._state != IDLE:
+                    self._since_check += quiet
+                j += quiet
+            if j < n:
+                self.observe(int(versions[j]), bool(treated[j]), float(y_r[j]), float(y_c[j]))
+                j += 1
+
     def poll(self) -> int:
         """Advance the promoter without an observation: abort an
         invalidated experiment, auto-start a fresh challenger, and fire
         any due ramp advance.  Returns the number of deadline callbacks
-        fired (the simulator calls this once per arrival)."""
+        fired (the simulator calls this at every arrival it could act at)."""
         self._abort_if_invalidated()
         if self._state == IDLE and self.auto_start:
             self.start()
@@ -321,6 +384,12 @@ class AutoPromoter:
     def evaluate(self) -> MeanCI | None:
         """Welch interval for (watched − baseline) mean per-request
         outcome, or None while either arm is under ``min_decided``."""
+        arms = self._arms()
+        return None if arms is None else welch_ci_from_moments(*arms[0], *arms[1], level=self.level)
+
+    def _arms(self) -> tuple[tuple[float, float, int], tuple[float, float, int]] | None:
+        """(watched, baseline) moments, or None while either arm is under
+        ``min_decided``."""
         if self._state == IDLE or self._watching is None:
             return None
         watched = self.registry.get(self._watching).ledger.moments(self.metric)
@@ -332,14 +401,28 @@ class AutoPromoter:
             return None
         if watched[2] < self.min_decided or baseline[2] < self.min_decided:
             return None
-        return welch_ci_from_moments(*watched, *baseline, level=self.level)
+        return watched, baseline
+
+    def _verdict(self) -> MeanCI | None:
+        """:meth:`evaluate`'s interval when it may exclude zero, else
+        None — without the t-quantile bisection when the delta lies
+        within the normal quantile's reach (see ``_z_screen``)."""
+        arms = self._arms()
+        if arms is None:
+            return None
+        (mean_a, var_a, n_a), (mean_b, var_b, n_b) = arms
+        se2 = var_a / n_a + var_b / n_b
+        if se2 > 0.0 and abs(float(mean_a) - float(mean_b)) <= self._z_screen * math.sqrt(se2):
+            return None
+        return welch_ci_from_moments(*arms[0], *arms[1], level=self.level)
 
     def _check(self) -> None:
         """Evaluate and act: promote / kill during the ramp, confirm /
-        roll back during the hold."""
+        roll back during the hold.  Only a confirmation, which records
+        the interval whatever it says, needs one that cannot decide."""
         self._abort_if_invalidated()
         if self._state == RAMPING:
-            ci = self.evaluate()
+            ci = self._verdict()
             if ci is None:
                 return
             if ci.lo > 0.0:
@@ -347,30 +430,32 @@ class AutoPromoter:
             elif ci.hi < 0.0:
                 self._kill(ci)
         elif self._state == HOLDING:
-            ci = self.evaluate()
+            confirming = self.registry.get(self._watching).ledger.n >= self.hold_decided
+            ci = self.evaluate() if confirming else self._verdict()
             if ci is not None and ci.hi < 0.0:
                 self._rollback(ci)
-            elif self.registry.get(self._watching).ledger.n >= self.hold_decided:
+            elif confirming:
                 self._confirm(ci)
 
     def _abort_if_invalidated(self) -> None:
         """Registry surgery behind our back (hotfix register, manual
         promote/rollback) ends the running experiment."""
+        if self._invalidated():
+            version = self._watching
+            self._finish()
+            self._event("abort", version)
+
+    def _invalidated(self) -> bool:
         if self._state == RAMPING:
             challenger = self.registry.challenger
-            if (
+            return (
                 challenger is None
                 or challenger.version != self._watching
                 or self.registry.champion.version != self._baseline
-            ):
-                version = self._watching
-                self._finish()
-                self._event("abort", version)
-        elif self._state == HOLDING:
-            if self.registry.champion.version != self._watching:
-                version = self._watching
-                self._finish()
-                self._event("abort", version)
+            )
+        if self._state == HOLDING:
+            return self.registry.champion.version != self._watching
+        return False
 
     # ------------------------------------------------------------------
     # actions

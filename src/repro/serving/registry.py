@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -80,6 +82,20 @@ class OutcomeLedger:
         net = y_r - y_c
         self._net_sumsq += net * net
         self._revenue_sumsq += y_r * y_r
+
+    def record_block(self, treated, y_r, y_c) -> None:
+        """Add a block of decided requests, in order: the same state as
+        one :meth:`record` per request (every total is still one add per
+        request, in order)."""
+        y_r = np.asarray(y_r, dtype=float)
+        y_c = np.asarray(y_c, dtype=float)
+        net = y_r - y_c
+        self.n += y_r.size
+        self.n_treated += int(np.count_nonzero(treated))
+        self.revenue = reduce(add, y_r.tolist(), self.revenue)
+        self.spend = reduce(add, y_c.tolist(), self.spend)
+        self._net_sumsq = reduce(add, (net * net).tolist(), self._net_sumsq)
+        self._revenue_sumsq = reduce(add, (y_r * y_r).tolist(), self._revenue_sumsq)
 
     def reset(self) -> None:
         """Zero the ledger (a fresh comparison window)."""
@@ -408,6 +424,27 @@ class ModelRegistry:
         """
         self._versions[version].ledger.record(bool(treated), float(y_r), float(y_c))
 
+    def record_outcome_block(self, versions, treated, y_r, y_c) -> None:
+        """Attribute a block of decided requests, in order: the same
+        ledgers as one :meth:`record_outcome` per request (each
+        version's ledger takes its own requests in order; an unknown
+        version raises after the requests before it)."""
+        versions = np.asarray(versions, dtype=np.int64)
+        ids = versions.tolist()
+        present = dict.fromkeys(ids)  # first-seen order
+        unknown = [v for v in present if v not in self._versions]
+        if unknown:
+            stop = ids.index(unknown[0])
+            self.record_outcome_block(versions[:stop], treated[:stop], y_r[:stop], y_c[:stop])
+            raise KeyError(unknown[0])
+        if len(present) == 1:
+            self._versions[ids[0]].ledger.record_block(treated, y_r, y_c)
+            return
+        treated, y_r, y_c = (np.asarray(a) for a in (treated, y_r, y_c))
+        for version in present:
+            rows = versions == version
+            self._versions[version].ledger.record_block(treated[rows], y_r[rows], y_c[rows])
+
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
@@ -429,16 +466,37 @@ class ModelRegistry:
         """All registered versions, oldest first."""
         return [self._versions[v] for v in sorted(self._versions)]
 
-    @property
-    def routing_is_static(self) -> bool:
-        """True when :meth:`route` returns the champion for *every* key
-        without touching the RNG (no challenger staged, or a zero
-        split).  This is the predicate behind the engine's vectorised
-        ``submit_batch`` fast path: one ``route(None)`` call stands in
-        for N per-row calls *exactly* — same result, same RNG stream —
-        only while this holds.
-        """
-        return self._challenger is None or self._traffic_split <= 0.0
+    def route_block(self, n: int, keys=None) -> np.ndarray:
+        """Version ids serving ``n`` requests, in order: the same ids,
+        and the same RNG state afterwards, as ``n`` :meth:`route` calls
+        (``keys[i]`` for request ``i``; ``None`` keys or no ``keys``
+        draw from the RNG, one uniform per keyless request, in order,
+        as ``rng.random(k)`` draws the stream ``k`` ``rng.random()``
+        calls do)."""
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        versions = np.full(n, self.champion.version, dtype=np.int64)
+        if self._challenger is None or self._traffic_split <= 0.0:
+            return versions
+        if keys is None:
+            u = self._rng.random(n)
+        else:
+            if len(keys) != n:
+                raise ValueError(f"got {len(keys)} keys for {n} requests")
+            u = np.empty(n)
+            keyless = np.fromiter((k is None for k in keys), dtype=bool, count=n)
+            u[keyless] = self._rng.random(int(np.count_nonzero(keyless)))
+            for i in np.flatnonzero(~keyless).tolist():
+                u[i] = self._bucket(keys[i])
+        versions[u < self._traffic_split] = self._challenger
+        return versions
+
+    def _bucket(self, key: str | int) -> float:
+        """A keyed request's point in [0, 1): a hash salted with the
+        staged challenger's version."""
+        salted = f"{key}:{self._challenger}".encode()
+        digest = hashlib.blake2b(salted, digest_size=8).digest()
+        return int.from_bytes(digest, "big") / _BUCKET_SPACE
 
     def route(self, key: str | int | None = None) -> ModelVersion:
         """Pick the version serving one request (a pure routing decision;
@@ -458,12 +516,7 @@ class ModelRegistry:
         champion = self.champion  # raises if none
         chosen = champion
         if self._challenger is not None and self._traffic_split > 0.0:
-            if key is None:
-                u = float(self._rng.random())
-            else:
-                salted = f"{key}:{self._challenger}".encode()
-                digest = hashlib.blake2b(salted, digest_size=8).digest()
-                u = int.from_bytes(digest, "big") / _BUCKET_SPACE
+            u = float(self._rng.random()) if key is None else self._bucket(key)
             if u < self._traffic_split:
                 chosen = self._versions[self._challenger]
         return chosen

@@ -44,6 +44,7 @@ once the slot frees up.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -220,6 +221,31 @@ class Retrainer:
         """Clock time of the next periodic trigger, or None."""
         return self._loop.next_deadline()
 
+    def quiet_observations(self) -> float:
+        """How many of the next :meth:`observe` calls only buffer: none
+        freezes the drift reference, reaches a trigger or drift sample,
+        or polls anything into action (``math.inf`` when no trigger
+        counts observations)."""
+        if not self.quiet_polls([self.clock.now()]):
+            return 0
+        quiet = math.inf
+        if self._reference is None:
+            quiet = self.min_outcomes - len(self._buffer) - 1
+        if self.every_outcomes is not None:
+            quiet = min(quiet, self.every_outcomes - self._since_count_trigger - 1)
+        if self.drift_threshold is not None and not self.refit_pending:
+            quiet = min(quiet, 63 - self.n_observed % 64)
+        return max(0, quiet)
+
+    def quiet_polls(self, times) -> int:
+        """How many leading :meth:`poll` calls, made at the non-decreasing
+        clock readings ``times``, would do nothing."""
+        if self._fit_future is not None or (
+            self._held is not None and self.registry.challenger is None
+        ):
+            return 0
+        return self._loop.quiet_count(times)
+
     def drift_score(self) -> float:
         """Mean standardised shift of window feature means vs the reference.
 
@@ -276,11 +302,38 @@ class Retrainer:
                 self._trigger("drift")
         self.poll()
 
+    def observe_block(self, x, treated, y_r, y_c) -> None:
+        """Buffer a block of decided requests (one feature row each), in
+        order: the same window, triggers, refits and stagings as one
+        :meth:`observe` each.  Runs of observations that only buffer are
+        appended as blocks; each one that can act goes through
+        :meth:`observe` itself."""
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(treated, dtype=bool).astype(np.int64)
+        y_r = np.asarray(y_r, dtype=float)
+        y_c = np.asarray(y_c, dtype=float)
+        n = t.size
+        j = 0
+        while j < n:
+            quiet = min(self.quiet_observations(), n - j)
+            if quiet:
+                rows = slice(j, j + quiet)
+                self._buffer.extend(zip(x[rows], t[rows].tolist(), y_r[rows].tolist(), y_c[rows].tolist()))
+                self.n_observed += quiet
+                self._since_count_trigger += quiet
+                self._c_outcomes.inc(quiet)
+                self._g_fill.set(len(self._buffer))
+                j += quiet
+            if j < n:
+                self.observe(x[j], bool(t[j]), float(y_r[j]), float(y_c[j]))
+                j += 1
+
     def poll(self) -> int:
         """Advance the retrainer: fire due periodic triggers, collect a
         finished fit, stage a held refit once the challenger slot frees.
-        Returns the number of deadline callbacks fired (call once per
-        arrival, like :meth:`AutoPromoter.poll`)."""
+        Returns the number of deadline callbacks fired (call it between
+        arrivals, like :meth:`AutoPromoter.poll`; :meth:`quiet_polls`
+        tells which calls would act)."""
         fired = self._loop.poll()
         self._collect_fit()
         self._stage_if_free()

@@ -190,16 +190,10 @@ def _shard_feed(
     """
     engine = _SHARD_ENGINES[(fleet, shard)]
     resolved = _resolve_rows(fleet, shard, rows)
-    if any(key is not None for key in keys):
-        for row, key in zip(resolved, keys):
-            # rids are deliberately dropped: the shard worker consumes
-            # results positionally via the drain() below, and submit-time
-            # failures surface through drain's error propagation
-            engine.submit(row, key=key)  # repro: allow[RPR006]
-    else:
-        # keyless dispatch: one vectorised submit (falls back to the
-        # per-row path internally whenever caching/routing demand it)
-        engine.submit_batch(np.asarray(resolved))  # repro: allow[RPR006]
+    # rids are deliberately dropped: the shard worker consumes results
+    # positionally via the drain() below
+    keyed = any(key is not None for key in keys)
+    engine.submit_batch(np.asarray(resolved), keys=keys if keyed else None)  # repro: allow[RPR006]
     results = engine.drain()
     transport = _SHARD_TRANSPORTS.get((fleet, shard))
     if transport is None:
@@ -572,7 +566,10 @@ class ShardedScoringEngine:
         return rid
 
     def submit_batch(
-        self, x: np.ndarray, keys: Sequence[str | int | None] | None = None
+        self,
+        x: np.ndarray,
+        keys: Sequence[str | int | None] | None = None,
+        stamps: np.ndarray | None = None,
     ) -> range:
         """Enqueue ``x``'s rows in one call; returns their fleet ids.
 
@@ -581,10 +578,13 @@ class ShardedScoringEngine:
         walk the round-robin cursor, keyed rows stick to their hash
         shard — so results, stats, and version attribution match N
         single submits.  The win is constant-factor: one routing pass,
-        one buffer extension per shard, and (keyless) the shard engine
-        scores the dispatch through its own vectorised
-        :meth:`ScoringEngine.submit_batch`.
+        one buffer extension per shard, and the shard engine scores the
+        dispatch through its own :meth:`ScoringEngine.submit_batch`.
+        ``stamps`` is accepted for the single-engine signature only:
+        the fleet cannot stamp arrivals, so it must be ``None``.
         """
+        if stamps is not None:
+            raise ValueError("a fleet cannot take arrival stamps")
         self._maybe_sync()
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim != 2:
@@ -687,6 +687,15 @@ class ShardedScoringEngine:
         """Pop every finished result as ``(request_id, version_id, score)``."""
         self.poll()
         return self._table.drain()
+
+    def room(self, n: int, times: np.ndarray | None = None) -> int:
+        """One arrival at a time: the fleet's flushes are the shards'."""
+        return 1
+
+    def take_ready(self, rids: range) -> tuple[np.ndarray, np.ndarray]:
+        """Pop the longest ready prefix of ``rids`` (advances the fleet)."""
+        self.poll()
+        return self._table.take_ready(rids)
 
     def score(self, x_row: np.ndarray, key: str | int | None = None) -> float:
         """Synchronous convenience path: submit, flush, return."""
@@ -1104,6 +1113,16 @@ class ShardedBudgetPacer:
         realises (callers report immediately after :meth:`offer`, the
         :class:`~repro.serving.simulator.TrafficReplay` convention)."""
         self.shards[self._last_offer_shard].observe_outcome(t, y_r, y_c)
+
+    def offer_block(self, scores, costs) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`BudgetPacer.offer_block`'s surface, one arrival at a
+        time, so each outcome reaches the slice of its own offer."""
+        admitted = self.offer(float(scores[0]), float(costs[0]))
+        return np.array([admitted]), np.array([self.spent])
+
+    def observe_outcome_block(self, t, y_r, y_c) -> None:
+        for row in zip(np.asarray(t).tolist(), np.asarray(y_r).tolist(), np.asarray(y_c).tolist()):
+            self.observe_outcome(*row)
 
     # ------------------------------------------------------------------
     # slice rebalancing

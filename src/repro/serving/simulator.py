@@ -1,22 +1,26 @@
 """Replay platform traffic through the online serving stack.
 
 :class:`TrafficReplay` is the end-to-end harness tying the subsystem
-together: a :class:`~repro.ab.platform.Platform` cohort is streamed
-event-by-event (random arrival order), every arrival is scored through
-the :class:`~repro.serving.engine.ScoringEngine`'s micro-batching path,
-and the :class:`~repro.serving.pacing.BudgetPacer` decides treat/skip
-as scores become available.  The result reports throughput, the spend
-trajectory against the pacing curve, and — the number that matters —
-incremental revenue relative to the *offline greedy oracle*: Algorithm
-1 run on the same scores with the whole day visible at once.  An
-online policy can at best match the oracle; the replay quantifies the
-price of streaming.
+together: a :class:`~repro.ab.platform.Platform` cohort arrives in a
+random order, every arrival is scored through the
+:class:`~repro.serving.engine.ScoringEngine`'s micro-batching path, and
+the :class:`~repro.serving.pacing.BudgetPacer` decides treat/skip as
+scores become available.  Arrivals move in runs between the events
+that could change a later decision (a flush, a ramp step, a retrainer
+trigger, a gate), and each run is submitted, scored and decided as a
+block — byte-for-byte what deciding them one by one gives (see
+``docs/SERVING.md``, "Decision loop").  The result reports throughput,
+the spend trajectory against the pacing curve, and — the number that
+matters — incremental revenue relative to the *offline greedy oracle*:
+Algorithm 1 run on the same scores with the whole day visible at once.
+An online policy can at best match the oracle; the replay quantifies
+the price of streaming.
 
 Two runtime-layer features thread through the replay:
 
 * **Simulated time** — when the engine carries a
   :class:`~repro.runtime.ManualClock` and ``interarrival_s`` is set,
-  the replay advances the clock by that gap before each arrival, so
+  every arrival lands that gap after the one before it, so
   deadline-driven flushing (``max_latency_ms``) runs under exact,
   deterministic time and the engine's ``latencies`` record the true
   submit→score waits.
@@ -29,16 +33,16 @@ Two runtime-layer features thread through the replay:
   .AutoPromoter`, every decided arrival's realised outcome is
   attributed to the registry version whose score drove the decision
   (:meth:`ScoringEngine.version_of`) and fed to the promoter, and the
-  promoter is polled once per arrival so its ramp deadlines fire on
-  schedule under the replay's clock.  A multi-day campaign then runs
+  promoter's ramp deadlines fire at the first arrival past them under
+  the replay's clock.  A multi-day campaign then runs
   the full promote-or-kill lifecycle end-to-end: ramp, significance
   verdict, post-promotion hold.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,7 +180,7 @@ class MultiDayReplayResult:
 
 
 class TrafficReplay:
-    """Stream platform cohorts through the engine + pacer, event by event.
+    """Stream platform cohorts through the engine + pacer.
 
     Parameters
     ----------
@@ -194,24 +198,24 @@ class TrafficReplay:
     interarrival_s:
         Simulated gap between consecutive arrivals.  Requires the
         engine's clock to be a :class:`~repro.runtime.ManualClock`;
-        the replay advances it by this gap before each submit.
+        each arrival is submitted this gap after the one before it.
     promoter:
         An :class:`~repro.serving.promotion.AutoPromoter` operating the
         engine's registry.  Every decided arrival's realised outcome is
         attributed to the version that scored it and recorded via
-        :meth:`AutoPromoter.observe`; the promoter is polled once per
-        arrival, so its ramp schedule runs on the replay's (possibly
-        simulated) time.  Outcome realisation shares the feedback
-        draws, so adding a promoter does not perturb the pacer's
-        ``roi*`` stream.
+        :meth:`AutoPromoter.observe`; the promoter is polled at every
+        arrival its poll could act at, so its ramp schedule runs on the
+        replay's (possibly simulated) time.  Outcome realisation shares
+        the feedback draws, so adding a promoter does not perturb the
+        pacer's ``roi*`` stream.
     retrainer:
         A :class:`~repro.serving.retraining.Retrainer` closing the
         loop: every decided arrival's feature row and realised outcome
         are buffered via :meth:`Retrainer.observe`, and the retrainer
-        is polled once per arrival so its periodic trigger and fit
-        collection run on the replay's clock.  Refits stage themselves
-        into the engine's registry, where the ``promoter`` (if any)
-        ramps them.
+        is polled at every arrival its poll could act at, so its
+        periodic trigger and fit collection run on the replay's clock.
+        Refits stage themselves into the engine's registry, where the
+        ``promoter`` (if any) ramps them.
     paired_outcomes:
         When True, the per-user outcome uniforms are drawn as one
         cohort-indexed block up front instead of sequentially per
@@ -381,101 +385,74 @@ class TrafficReplay:
         :meth:`replay_days` (each day's pacer handed in by the
         :class:`MultiDayPacer`); the cohort already carries its
         day-of-week effects, so no day index is needed here.
+
+        Arrivals move in runs (see :class:`_Stream`).  A run's first
+        arrival takes the per-arrival steps one by one — stop the clock
+        at a flush deadline inside the gap and decide what it scored,
+        move the clock to the arrival, poll the promoter and the
+        retrainer — and the run is every later arrival at which none
+        of those steps would act.  The run goes to the engine as one
+        stamped :meth:`~repro.serving.engine.ScoringEngine.submit_batch`;
+        then every request ready at the head of the queue is decided as
+        a block.
         """
-        scores = np.full(cohort.n, np.nan)
-        treated = np.zeros(cohort.n, dtype=bool)
-        trajectory = np.zeros(cohort.n)
-        n_decided = 0
-        # absolute index into the engine's (possibly size-capped) log
-        latency_start = self.engine.latencies_dropped + len(self.engine.latencies)
-        stats_before = dict(self.engine.stats)  # engines may serve many days
-        hist_before = self.engine.latency_hist.snapshot()
-        instrumented = self.engine.metrics is not NULL_REGISTRY
-        metrics_before = self.engine.metrics.snapshot() if instrumented else None
-        waiting: deque[tuple[int, int]] = deque()  # (request_id, cohort index)
-        realise = (
-            self.feedback or self.promoter is not None or self.retrainer is not None
-        )
-        # paired mode: one cohort-indexed uniform block, so user i's
-        # draws are independent of decision order (CRN across replays)
-        uniforms = self._rng.random((cohort.n, 2)) if self.paired_outcomes else None
-
-        def drain(force: bool = False) -> None:
-            nonlocal n_decided
-            if force:
-                self.engine.flush()
-                self.engine.join()
-            while waiting and self.engine.has_result(waiting[0][0]):
-                rid, i = waiting.popleft()
-                # which version's score drives this decision (read
-                # before take() releases the attribution)
-                vid = self.engine.version_of(rid) if self.promoter is not None else None
-                score = self.engine.take(rid)
-                scores[i] = score
-                admit = pacer.offer(score, float(cohort.tau_c[i]))
-                treated[i] = admit
-                trajectory[n_decided] = pacer.spent
-                n_decided += 1
-                if realise:
-                    # realised Bernoulli incremental outcomes: skipped
-                    # users realise none, mirroring Platform.realize_arm
-                    draw = uniforms[i] if uniforms is not None else self._rng.random(2)
-                    y_r = float(draw[0] < cohort.tau_r[i]) if admit else 0.0
-                    y_c = float(draw[1] < cohort.tau_c[i]) if admit else 0.0
-                    if self.feedback:
-                        pacer.observe_outcome(int(admit), y_r, y_c)
-                    if self.promoter is not None:
-                        self.promoter.observe(vid, bool(admit), y_r, y_c)
-                    if self.retrainer is not None:
-                        self.retrainer.observe(cohort.x[i], bool(admit), y_r, y_c)
-
-        clock = self.engine.clock if self.interarrival_s is not None else None
+        stream = _Stream(self, cohort, pacer)
+        engine, promoter, retrainer = self.engine, self.promoter, self.retrainer
+        clock = engine.clock if self.interarrival_s is not None else None
+        order = stream.order
         # real wall time on purpose: replay *measures* achieved host
         # throughput; the simulated timeline stays on the injected clock
         start = time.perf_counter()  # repro: allow[RPR001]
-        for i, x_row in self.platform.iter_events(cohort):
+        i = 0
+        while i < cohort.n:
             if clock is not None:
                 # a flush deadline inside this inter-arrival gap must
                 # fire *at* the deadline, not when the next arrival
                 # happens to look — stop the clock there and poll, so
                 # the latency bound is exact for any gap size
                 target = clock.now() + self.interarrival_s
-                due = self.engine.next_deadline()
+                due = engine.next_deadline()
                 if due is not None and due < target:
                     clock.advance(max(0.0, due - clock.now()))
-                    self.engine.poll()
-                    drain()
+                    engine.poll()
+                    stream.decide_ready()
                 clock.advance(max(0.0, target - clock.now()))
-            if self.promoter is not None:
+            if promoter is not None:
                 # ramp deadlines fire at arrival granularity: the first
                 # arrival after a step boundary sees the widened split
-                self.promoter.poll()
-            if self.retrainer is not None:
+                promoter.poll()
+            if retrainer is not None:
                 # periodic refit triggers + async fit collection run at
                 # the same arrival granularity
-                self.retrainer.poll()
-            waiting.append((self.engine.submit(x_row), i))
-            self.engine.poll()
-            drain()
-        drain(force=True)
-        if self.promoter is not None:
-            self.promoter.poll()  # day's end: fire any boundary that landed on it
-        if self.retrainer is not None:
-            self.retrainer.poll()
+                retrainer.poll()
+            # the flush deadline the arrival's submit would fire first
+            engine.poll()
+            count, stamps = stream.run(i, clock)
+            stream.queue(engine.submit_batch(cohort.x[order[i : i + count]], stamps=stamps))
+            i += count
+            stream.decide_ready()
+        engine.flush()
+        engine.join()
+        stream.decide_ready()
+        if promoter is not None:
+            promoter.poll()  # day's end: fire any boundary that landed on it
+        if retrainer is not None:
+            retrainer.poll()
         elapsed = time.perf_counter() - start  # repro: allow[RPR001]
 
-        if waiting or n_decided != cohort.n:
+        if stream.waiting or stream.n_decided != cohort.n:
             raise RuntimeError(
-                f"replay decided {n_decided}/{cohort.n} arrivals "
-                f"({len(waiting)} still waiting) — the engine lost requests"
+                f"replay decided {stream.n_decided}/{cohort.n} arrivals "
+                f"({len(stream.waiting)} still waiting) — the engine lost requests"
             )
+        scores, treated = stream.scores, stream.treated
         oracle = greedy_allocation(
             scores, cohort.tau_c, budget, rewards=cohort.tau_r
         )
         latencies = (
             np.asarray(
                 self.engine.latencies[
-                    max(0, latency_start - self.engine.latencies_dropped):
+                    max(0, stream.latency_start - self.engine.latencies_dropped):
                 ],
                 dtype=float,
             )
@@ -483,15 +460,15 @@ class TrafficReplay:
             else None
         )
         # entries this replay recorded that the size cap already evicted
-        dropped = max(0, self.engine.latencies_dropped - latency_start)
+        dropped = max(0, self.engine.latencies_dropped - stream.latency_start)
         latency_hist = (
-            self.engine.latency_hist.snapshot().delta(hist_before)
+            self.engine.latency_hist.snapshot().delta(stream.hist_before)
             if self.engine.clock is not None
             else None
         )
         metrics_delta = (
-            self.engine.metrics.snapshot().delta(metrics_before).to_dict()
-            if instrumented
+            self.engine.metrics.snapshot().delta(stream.metrics_before).to_dict()
+            if stream.metrics_before is not None
             else None
         )
         return ReplayResult(
@@ -505,10 +482,10 @@ class TrafficReplay:
             oracle_revenue=oracle.total_reward,
             elapsed_seconds=elapsed,
             events_per_second=cohort.n / max(elapsed, 1e-12),
-            spend_trajectory=trajectory,
+            spend_trajectory=stream.trajectory,
             treated=treated,
             engine_stats={
-                k: v - stats_before.get(k, 0) for k, v in self.engine.stats.items()
+                k: v - stream.stats_before.get(k, 0) for k, v in self.engine.stats.items()
             },
             pacing_history=list(pacer.history),
             latencies=latencies,
@@ -516,3 +493,172 @@ class TrafficReplay:
             latency_hist=latency_hist,
             metrics_delta=metrics_delta,
         )
+
+
+class _Stream:
+    """One cohort's state in the block decision loop.
+
+    The arrivals' order, the waiting queue (the request ids submitted
+    and not yet decided, in arrival order) and the per-arrival results.
+    :meth:`run` sizes the next run of arrivals; :meth:`decide_ready`
+    decides the requests ready at the head of the queue as a block:
+    the pacer's admissions (split where it refreshes, each slice's
+    outcomes fed back before the next), the outcome draws, and the
+    attribution to the promoter and the retrainer (split at every
+    observation that may act, which goes through their scalar
+    ``observe``).
+    """
+
+    def __init__(self, replay: TrafficReplay, cohort, pacer: BudgetPacer) -> None:
+        engine = replay.engine
+        self.replay = replay
+        self.cohort = cohort
+        self.pacer = pacer
+        self.scores = np.full(cohort.n, np.nan)
+        self.treated = np.zeros(cohort.n, dtype=bool)
+        self.trajectory = np.zeros(cohort.n)
+        self.n_decided = 0
+        self.waiting = range(0)
+        # absolute index into the engine's (possibly size-capped) log
+        self.latency_start = engine.latencies_dropped + len(engine.latencies)
+        self.stats_before = dict(engine.stats)  # engines may serve many days
+        self.hist_before = engine.latency_hist.snapshot()
+        self.metrics_before = (
+            engine.metrics.snapshot() if engine.metrics is not NULL_REGISTRY else None
+        )
+        self.realise = (
+            replay.feedback or replay.promoter is not None or replay.retrainer is not None
+        )
+        # paired mode: one cohort-indexed uniform block, so user i's
+        # draws are independent of decision order (CRN across replays)
+        self.uniforms = replay._rng.random((cohort.n, 2)) if replay.paired_outcomes else None
+        self.order = replay.platform.arrival_order(cohort)
+
+    def run(self, i: int, clock: ManualClock | None) -> tuple[int, np.ndarray | None]:
+        """Size the run starting at arrival ``i``, whose per-arrival
+        steps were just taken: ``(count, stamps)``, ``stamps`` being
+        the run's arrival times (``None`` without a simulated clock).
+
+        The run stops where one arrival's steps could act or its
+        decisions could change a later arrival's routing: at the
+        arrival that could fill the engine's batch, before an arrival
+        at which a flush deadline, ramp step or retrainer timer could
+        fall due, and — when nothing is pending, so the waiting
+        requests and cache hits are decided on arrival — within the
+        observations the promoter and the retrainer take without
+        acting.
+        """
+        replay, engine = self.replay, self.replay.engine
+        observers = [c for c in (replay.promoter, replay.retrainer) if c is not None]
+        count = min(self.cohort.n - i, max(1, engine.batch_size - engine.n_pending))
+        if observers and not engine.n_pending:
+            quiet = min(c.quiet_observations() for c in observers)
+            count = max(1, min(count, quiet + 1 - len(self.waiting)))
+        stamps = None
+        if clock is not None:
+            stamps = _arrival_times(clock.now(), replay.interarrival_s, count)
+        count = engine.room(count, stamps)
+        for component in observers:
+            later = stamps[1:count] if stamps is not None else np.full(count - 1, component.clock.now())
+            count = 1 + min(count - 1, component.quiet_polls(later))
+        return count, None if stamps is None else stamps[:count]
+
+    def queue(self, rids: range) -> None:
+        """Append a run's request ids to the waiting queue."""
+        if not self.waiting:
+            self.waiting = rids
+        elif rids.start == self.waiting.stop:
+            self.waiting = range(self.waiting.start, rids.stop)
+        else:
+            raise RuntimeError("the engine issued request ids out of order")
+
+    def decide_ready(self) -> None:
+        """Decide every request ready at the head of the queue."""
+        if not self.waiting:
+            return
+        versions, scores = self.replay.engine.take_ready(self.waiting)
+        if scores.size:
+            self.waiting = self.waiting[scores.size :]
+            self._decide(versions, scores)
+
+    def _decide(self, versions: np.ndarray, scores: np.ndarray) -> None:
+        replay, pacer, cohort = self.replay, self.pacer, self.cohort
+        lo = self.n_decided
+        k = scores.size
+        idx = self.order[lo : lo + k]
+        self.scores[idx] = scores
+        costs = cohort.tau_c[idx]
+        if self.realise:
+            # realised Bernoulli incremental outcomes, one draw pair per
+            # decision in decision order; skipped users realise none,
+            # mirroring Platform.realize_arm
+            draw = self.uniforms[idx] if self.uniforms is not None else replay._rng.random((k, 2))
+            revenue = (draw[:, 0] < cohort.tau_r[idx]).astype(float)
+            cost = (draw[:, 1] < costs).astype(float)
+        admitted = np.empty(k, dtype=bool)
+        j = 0
+        while j < k:
+            admit, spent = pacer.offer_block(scores[j:], costs[j:])
+            m = admit.size
+            admitted[j : j + m] = admit
+            self.trajectory[lo + j : lo + j + m] = spent
+            if replay.feedback:
+                rows = slice(j, j + m)
+                pacer.observe_outcome_block(admit, revenue[rows] * admit, cost[rows] * admit)
+            j += m
+        self.treated[idx] = admitted
+        self.n_decided += k
+        if replay.promoter is not None or replay.retrainer is not None:
+            self._attribute(versions, idx, admitted, revenue * admitted, cost * admitted)
+
+    def _attribute(self, versions, idx, admitted, y_r, y_c) -> None:
+        """Feed the decided outcomes to the promoter (credited to the
+        version whose score decided) and the retrainer, in order."""
+        promoter, retrainer = self.replay.promoter, self.replay.retrainer
+        x = self.cohort.x
+        k = idx.size
+        j = 0
+        while j < k:
+            quiet = min(
+                math.inf if promoter is None else promoter.quiet_observations(),
+                math.inf if retrainer is None else retrainer.quiet_observations(),
+                k - j,
+            )
+            if quiet:
+                rows = slice(j, j + quiet)
+                if promoter is not None:
+                    promoter.observe_block(versions[rows], admitted[rows], y_r[rows], y_c[rows])
+                if retrainer is not None:
+                    retrainer.observe_block(x[idx[rows]], admitted[rows], y_r[rows], y_c[rows])
+                j += quiet
+            if j < k:
+                # an observation that may act: both see it in order
+                treated, r, c = bool(admitted[j]), float(y_r[j]), float(y_c[j])
+                if promoter is not None:
+                    promoter.observe(int(versions[j]), treated, r, c)
+                if retrainer is not None:
+                    retrainer.observe(x[idx[j]], treated, r, c)
+                j += 1
+
+
+def _arrival_times(now: float, gap: float, n: int) -> np.ndarray:
+    """The clock readings of ``n`` arrivals from ``now`` (the first's),
+    with the float operations one ``advance`` per arrival makes:
+    ``now += max(0.0, (now + gap) - now)``.
+
+    Once ``now >= gap`` that step is exactly ``now + gap`` (the
+    difference of two floats within a factor two is exact), so the
+    readings are the running sums of ``gap``; before that, each is
+    stepped as the scalar loop steps it.
+    """
+    times = np.empty(n)
+    times[0] = now
+    k = 1
+    while k < n and now < gap:
+        now += max(0.0, (now + gap) - now)
+        times[k] = now
+        k += 1
+    if k < n:
+        times[k:] = gap
+        np.cumsum(times[k - 1 :], out=times[k - 1 :])
+    return times

@@ -62,6 +62,19 @@ class TestIterDatasetChunks:
             np.testing.assert_array_equal(a.x, b.x)
 
 
+def _bench_harness():
+    """``benchmarks/_harness.py``, imported from its directory."""
+    import importlib
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    try:
+        return importlib.import_module("_harness")
+    finally:
+        sys.path.pop(0)
+
+
 def _assert_datasets_equal(a, b):
     assert a.n == b.n
     np.testing.assert_array_equal(a.x, b.x)
@@ -133,6 +146,19 @@ class TestLoadDataset:
 class TestMakeSetting:
     def test_setting_names_complete(self):
         assert SETTING_NAMES == ("SuNo", "SuCo", "InNo", "InCo")
+
+    def test_no_and_co_cells_share_the_table1_training_split(self):
+        """The Table I harness fits one model per dataset and size and
+        hands the "No" and "Co" cells a copy each; that is sound only
+        while their training splits are byte-equal at its size and seed."""
+        harness = _bench_harness()
+        for dataset in harness.DATASETS:
+            for size in ("Su", "In"):
+                no, co = (
+                    make_setting(dataset, size + shift, n_sufficient=harness.N_SUFFICIENT, random_state=harness.SEED)
+                    for shift in ("No", "Co")
+                )
+                _assert_datasets_equal(no.train, co.train)
 
     def test_insufficient_is_015_subsample(self):
         su = make_setting("criteo", "SuNo", n_sufficient=4000, random_state=0)

@@ -138,3 +138,20 @@ class TestAdamMatchesReference:
         opt.step([np.ones(3)], [np.ones(3)])
         opt.reset()
         assert opt._scratch == {}
+
+
+@pytest.mark.parametrize(
+    "make_optimizer", [lambda: Adam(0.1), lambda: SGD(0.1, momentum=0.9)], ids=["adam", "sgd"]
+)
+def test_state_never_passes_to_an_array_that_reuses_a_freed_id(make_optimizer):
+    # an optimizer that outlives an array it stepped must not hand that
+    # array's moments to a new one at the same address: a fresh array
+    # stepped with a zero gradient stays where it is
+    optimizer = make_optimizer()
+    a = np.ones(3)
+    optimizer.step([a], [np.ones(3)])
+    del a
+    fresh = [np.ones(3) for _ in range(8)]  # CPython hands the freed block out again
+    for b in fresh:
+        optimizer.step([b], [np.zeros(3)])
+    assert all(np.array_equal(b, np.ones(3)) for b in fresh)

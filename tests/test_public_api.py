@@ -29,7 +29,7 @@ SUBPACKAGES = (
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.15.0"
+        assert repro.__version__ == "1.16.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
