@@ -541,10 +541,11 @@ class ScoringEngine:
         # buffer the row before opening its slot: a row of the wrong
         # width raises here, and must not leave a slot pending forever
         rid = self._table.stop
+        at = self.clock.now() if self.clock is not None else 0.0
         block = self._block(version.version, row.shape[0], 1)
-        block.append(rid, row, self.clock.now() if self.clock is not None else 0.0)
+        block.append(rid, row, at)
         self._table.open(1, version.version)
-        self._buffered(1)
+        self._buffered(1, at)
         return rid
 
     def submit_batch(
@@ -669,7 +670,6 @@ class ScoringEngine:
         if not miss:
             return
         self._c_cache_misses.inc(len(miss))
-        first = miss[0]
         if stamps is None:
             stamps = np.full(k, self.clock.now() if self.clock is not None else 0.0)
         # pending blocks in order of their version's first row, as
@@ -684,16 +684,7 @@ class ScoringEngine:
             else:
                 take = np.array(take)
                 block.append_block(rid + take, rows[take], stamps[take])
-        self._n_pending += len(miss)
-        self._g_queue.set(self._n_pending)
-        if self._n_pending == len(miss) and self._deadlines is not None:
-            self._deadlines.schedule(
-                _FLUSH_KEY,
-                float(stamps[first]) + self.max_latency_ms / 1000.0,
-                self._flush_on_deadline,
-            )
-        if self._n_pending >= self.batch_size:
-            self.flush(reason="batch_full")
+        self._buffered(len(miss), float(stamps[miss[0]]))
 
     def _block(self, version_id: int, d: int, take: int) -> _PendingBlock:
         block = self._pending.get(version_id)
@@ -703,14 +694,15 @@ class ScoringEngine:
             )
         return block
 
-    def _buffered(self, take: int) -> None:
-        """Count ``take`` freshly buffered rows: arm the deadline when
-        they start the batch, flush when they fill it."""
+    def _buffered(self, take: int, first_at: float) -> None:
+        """Count ``take`` freshly buffered rows, the first of which
+        arrived at ``first_at``: arm the deadline when they start the
+        batch, flush when they fill it."""
         self._n_pending += take
         self._g_queue.set(self._n_pending)
         if self._n_pending == take and self._deadlines is not None:
-            self._deadlines.schedule_in(
-                _FLUSH_KEY, self.max_latency_ms / 1000.0, self._flush_on_deadline
+            self._deadlines.schedule(
+                _FLUSH_KEY, first_at + self.max_latency_ms / 1000.0, self._flush_on_deadline
             )
         if self._n_pending >= self.batch_size:
             self.flush(reason="batch_full")

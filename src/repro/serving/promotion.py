@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.runtime import Clock, DeadlineLoop, SystemClock
-from repro.serving.registry import ModelRegistry
+from repro.serving.registry import ModelRegistry, observe_in_runs
 from repro.utils.stats import MeanCI, welch_ci_from_moments
 
 __all__ = ["AutoPromoter", "PromotionEvent"]
@@ -350,23 +350,27 @@ class AutoPromoter:
         observation that reaches a gate (or starts an experiment) goes
         through :meth:`observe` itself."""
         versions = np.asarray(versions, dtype=np.int64)
+        observe_in_runs(versions.size, [self.block_observer(versions, treated, y_r, y_c)])
+
+    def block_observer(self, versions, treated, y_r, y_c) -> tuple:
+        """This promoter as an :func:`~repro.serving.registry.
+        observe_in_runs` observer of a block of decided requests."""
+        versions = np.asarray(versions, dtype=np.int64)
         treated = np.asarray(treated, dtype=bool)
         y_r = np.asarray(y_r, dtype=float)
         y_c = np.asarray(y_c, dtype=float)
-        n = versions.size
-        j = 0
-        while j < n:
-            quiet = min(self.quiet_observations(), n - j)
-            if quiet:
-                self._c_observations.inc(quiet)
-                rows = slice(j, j + quiet)
-                self.registry.record_outcome_block(versions[rows], treated[rows], y_r[rows], y_c[rows])
-                if self._state != IDLE:
-                    self._since_check += quiet
-                j += quiet
-            if j < n:
-                self.observe(int(versions[j]), bool(treated[j]), float(y_r[j]), float(y_c[j]))
-                j += 1
+
+        def record(rows: slice) -> None:
+            quiet = rows.stop - rows.start
+            self._c_observations.inc(quiet)
+            self.registry.record_outcome_block(versions[rows], treated[rows], y_r[rows], y_c[rows])
+            if self._state != IDLE:
+                self._since_check += quiet
+
+        def observe(j: int) -> None:
+            self.observe(int(versions[j]), bool(treated[j]), float(y_r[j]), float(y_c[j]))
+
+        return self.quiet_observations, record, observe
 
     def poll(self) -> int:
         """Advance the promoter without an observation: abort an

@@ -520,3 +520,31 @@ class ModelRegistry:
             if u < self._traffic_split:
                 chosen = self._versions[self._challenger]
         return chosen
+
+
+def observe_in_runs(n: int, observers) -> None:
+    """Feed ``n`` observations, in order, to every observer in
+    ``observers``: ``(quiet, record, observe)`` triples, ``quiet()``
+    counting the next observations that only record (a component's
+    ``quiet_observations``), ``record(rows)`` taking the slice ``rows``
+    of them as a block, and ``observe(j)`` taking observation ``j``
+    through the component's scalar ``observe``.
+
+    Runs that every observer only records go as blocks; each
+    observation that may act goes to every observer's ``observe``, in
+    the observers' order, before the next run is sized.  The result is
+    what one scalar ``observe`` per observation and observer, the
+    observers taking each observation in turn, leaves behind.
+    """
+    j = 0
+    while j < n:
+        quiet = min([n - j, *(count() for count, _record, _observe in observers)])
+        if quiet:
+            rows = slice(j, j + quiet)
+            for _count, record, _observe in observers:
+                record(rows)
+            j += quiet
+        if j < n:
+            for _count, _record, observe in observers:
+                observe(j)
+            j += 1

@@ -53,7 +53,7 @@ import numpy as np
 from repro.causal.base import TrainableModel, refit_model
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.runtime import Clock, DeadlineLoop, ExecutionBackend, SystemClock
-from repro.serving.registry import ModelRegistry
+from repro.serving.registry import ModelRegistry, observe_in_runs
 
 __all__ = ["RetrainEvent", "Retrainer"]
 
@@ -308,25 +308,29 @@ class Retrainer:
         :meth:`observe` each.  Runs of observations that only buffer are
         appended as blocks; each one that can act goes through
         :meth:`observe` itself."""
+        t = np.asarray(treated, dtype=bool)
+        observe_in_runs(t.size, [self.block_observer(x, t, y_r, y_c)])
+
+    def block_observer(self, x, treated, y_r, y_c) -> tuple:
+        """This retrainer as an :func:`~repro.serving.registry.
+        observe_in_runs` observer of a block of decided requests."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(treated, dtype=bool).astype(np.int64)
         y_r = np.asarray(y_r, dtype=float)
         y_c = np.asarray(y_c, dtype=float)
-        n = t.size
-        j = 0
-        while j < n:
-            quiet = min(self.quiet_observations(), n - j)
-            if quiet:
-                rows = slice(j, j + quiet)
-                self._buffer.extend(zip(x[rows], t[rows].tolist(), y_r[rows].tolist(), y_c[rows].tolist()))
-                self.n_observed += quiet
-                self._since_count_trigger += quiet
-                self._c_outcomes.inc(quiet)
-                self._g_fill.set(len(self._buffer))
-                j += quiet
-            if j < n:
-                self.observe(x[j], bool(t[j]), float(y_r[j]), float(y_c[j]))
-                j += 1
+
+        def record(rows: slice) -> None:
+            quiet = rows.stop - rows.start
+            self._buffer.extend(zip(x[rows], t[rows].tolist(), y_r[rows].tolist(), y_c[rows].tolist()))
+            self.n_observed += quiet
+            self._since_count_trigger += quiet
+            self._c_outcomes.inc(quiet)
+            self._g_fill.set(len(self._buffer))
+
+        def observe(j: int) -> None:
+            self.observe(x[j], bool(t[j]), float(y_r[j]), float(y_c[j]))
+
+        return self.quiet_observations, record, observe
 
     def poll(self) -> int:
         """Advance the retrainer: fire due periodic triggers, collect a

@@ -65,6 +65,7 @@ from repro.runtime import (
     Clock,
     DeadlineLoop,
     ExecutionBackend,
+    ManualClock,
     ProcessBackend,
     SerialBackend,
     SharedScoreCache,
@@ -580,11 +581,14 @@ class ShardedScoringEngine:
         single submits.  The win is constant-factor: one routing pass,
         one buffer extension per shard, and the shard engine scores the
         dispatch through its own :meth:`ScoringEngine.submit_batch`.
-        ``stamps`` is accepted for the single-engine signature only:
-        the fleet cannot stamp arrivals, so it must be ``None``.
+        ``stamps`` are the rows' arrival times on the fleet's
+        :class:`~repro.runtime.ManualClock`: the rows then go one at a
+        time, each as ``clock.advance_to(stamps[i])`` followed by
+        ``submit(x[i])``, so every shard arms its deadline at the row's
+        own arrival.
         """
         if stamps is not None:
-            raise ValueError("a fleet cannot take arrival stamps")
+            return self._submit_stamped(x, keys, stamps)
         self._maybe_sync()
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim != 2:
@@ -617,6 +621,24 @@ class ShardedScoringEngine:
                 self._feed(shard)
         self._reap(wait=False)
         return range(rid0, rid0 + n)
+
+    def _submit_stamped(self, x, keys, stamps) -> range:
+        clock = self.clock
+        if not isinstance(clock, ManualClock):
+            raise ValueError("stamps need a fleet on a ManualClock")
+        x = np.asarray(x, dtype=float)
+        stamps = np.asarray(stamps, dtype=float)
+        if x.ndim != 2 or stamps.shape != (x.shape[0],):
+            raise ValueError(f"got {stamps.shape} stamps for rows of shape {x.shape}")
+        if keys is not None and len(keys) != x.shape[0]:
+            raise ValueError(f"got {x.shape[0]} rows but {len(keys)} keys")
+        rid0 = self._table.stop
+        for i, stamp in enumerate(stamps):
+            clock.advance_to(stamp)
+            rid = self.submit(x[i], None if keys is None else keys[i])
+            if rid != rid0 + i:
+                raise RuntimeError("the fleet issued request ids out of order")
+        return range(rid0, rid0 + x.shape[0])
 
     def flush(self, reason: str = "manual") -> int:
         """Ship every buffered request and flush every shard; returns

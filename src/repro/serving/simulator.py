@@ -41,7 +41,6 @@ Two runtime-layer features thread through the replay:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -54,6 +53,7 @@ from repro.runtime import ManualClock
 from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, MultiDayPacer
 from repro.serving.promotion import AutoPromoter
+from repro.serving.registry import observe_in_runs
 from repro.serving.retraining import Retrainer
 from repro.utils.rng import as_generator
 
@@ -615,30 +615,12 @@ class _Stream:
         """Feed the decided outcomes to the promoter (credited to the
         version whose score decided) and the retrainer, in order."""
         promoter, retrainer = self.replay.promoter, self.replay.retrainer
-        x = self.cohort.x
-        k = idx.size
-        j = 0
-        while j < k:
-            quiet = min(
-                math.inf if promoter is None else promoter.quiet_observations(),
-                math.inf if retrainer is None else retrainer.quiet_observations(),
-                k - j,
-            )
-            if quiet:
-                rows = slice(j, j + quiet)
-                if promoter is not None:
-                    promoter.observe_block(versions[rows], admitted[rows], y_r[rows], y_c[rows])
-                if retrainer is not None:
-                    retrainer.observe_block(x[idx[rows]], admitted[rows], y_r[rows], y_c[rows])
-                j += quiet
-            if j < k:
-                # an observation that may act: both see it in order
-                treated, r, c = bool(admitted[j]), float(y_r[j]), float(y_c[j])
-                if promoter is not None:
-                    promoter.observe(int(versions[j]), treated, r, c)
-                if retrainer is not None:
-                    retrainer.observe(x[idx[j]], treated, r, c)
-                j += 1
+        observers = []
+        if promoter is not None:
+            observers.append(promoter.block_observer(versions, admitted, y_r, y_c))
+        if retrainer is not None:
+            observers.append(retrainer.block_observer(self.cohort.x[idx], admitted, y_r, y_c))
+        observe_in_runs(idx.size, observers)
 
 
 def _arrival_times(now: float, gap: float, n: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from repro.serving import (
     ModelRegistry,
     Retrainer,
     ScoringEngine,
+    ShardedScoringEngine,
     TrafficReplay,
 )
 from repro.serving import simulator
@@ -806,3 +807,33 @@ def test_a_verdict_on_an_arrival_decided_at_once_reroutes_the_next(monkeypatch, 
     block, per_row = _both_loops(monkeypatch, build, lambda replay: replay.replay_days(2, 300, budget_fraction=0.3))
     assert block == per_row
     assert {event.kind for event in block[3]} & {"promote", "kill", "rollback"}
+
+
+@pytest.mark.parametrize("gap_s", [None, 0.0005])
+def test_a_fleet_replay_decides_like_the_per_row_loop(monkeypatch, gap_s):
+    # the fleet takes a run one arrival at a time (its room is 1) and
+    # stamped rows one submit each: the replay still matches the
+    # per-row loop on a clocked fleet as on an unclocked one
+    fleets = []
+
+    def build():
+        clock = ManualClock() if gap_s is not None else None
+        registry = ModelRegistry(traffic_split=0.3, random_state=6)
+        registry.register(Linear(np.r_[0.4, np.zeros(11)]), promote=True)
+        registry.register(Linear(np.r_[0.2, 0.1, np.zeros(10)]))
+        fleet = ShardedScoringEngine(
+            registry, n_shards=2, batch_size=8, cache_size=0,
+            max_latency_ms=2.0 if clock is not None else None, clock=clock,
+        )
+        fleets.append(fleet)
+        promoter = AutoPromoter(registry, clock=clock or ManualClock(), ramp=(0.3,), min_decided=10,
+                                check_every=7, hold_decided=40)
+        return TrafficReplay(
+            Platform(dataset="criteo", random_state=7), fleet, feedback=True, interarrival_s=gap_s,
+            promoter=promoter, random_state=8,
+        )
+
+    block, per_row = _both_loops(monkeypatch, build, lambda replay: replay.replay_days(2, 200, budget_fraction=0.3))
+    for fleet in fleets:
+        fleet.close()
+    assert block == per_row

@@ -1060,20 +1060,20 @@ class EngineMachine(RuleBasedStateMachine):
         if self.clock is not None:
             self.clock.advance(ms / 1000.0)
 
-    # ids are picked by drawing a fixed-range index: which ids are still
+    # ids are picked by an index drawn from a wide fixed range, and every
+    # rule draws before it looks at the ids: which ids are still
     # outstanding depends on when the thread backend finished a batch,
-    # and a strategy whose bounds follow that timing makes Hypothesis
-    # abort with FlakyStrategyDefinition
-    @staticmethod
-    def _pick(data, ids: list[int]) -> int:
-        return ids[data.draw(st.integers(0, 63)) % len(ids)]
+    # and draws whose bounds or number follow that timing make
+    # Hypothesis abort with FlakyStrategyDefinition
+    _INDEX = st.integers(0, 2**16)
 
     @rule(data=st.data())
     def take(self, data):
+        index = data.draw(self._INDEX)
         outstanding = self._outstanding()
         if not outstanding:
             return
-        rid = self._pick(data, outstanding)
+        rid = outstanding[index % len(outstanding)]
         version = self.engine.version_of(rid)  # valid until taken
         try:
             score = self.engine.take(rid)
@@ -1084,9 +1084,11 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def take_resolved_again(self, data):
+        index = data.draw(self._INDEX)
         if not self.resolved:
             return
-        rid = self._pick(data, sorted(self.resolved))
+        resolved = sorted(self.resolved)
+        rid = resolved[index % len(resolved)]
         with pytest.raises(KeyError):
             self.engine.take(rid)
         with pytest.raises(KeyError):
@@ -1094,15 +1096,17 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), as_range=st.booleans())
     def take_block(self, data, as_range):
+        if as_range:
+            picks = [data.draw(self._INDEX), data.draw(self._INDEX)]
+        else:
+            picks = data.draw(st.lists(self._INDEX, max_size=6))
         outstanding = self._outstanding()
         if not outstanding:
             return
         if as_range:
-            lo = self._pick(data, outstanding)
-            hi = min(lo + data.draw(st.integers(0, 256)), len(self.row_of))
-            rids = range(lo, hi)
+            lo = outstanding[picks[0] % len(outstanding)]
+            rids = range(lo, lo + picks[1] % (len(self.row_of) - lo + 1))
         else:
-            picks = data.draw(st.lists(st.integers(0, 63), max_size=6))
             rids = list(dict.fromkeys(outstanding[i % len(outstanding)] for i in picks))
         if any(rid in self.resolved for rid in rids):
             return  # a range may straddle ids already taken
@@ -1122,9 +1126,10 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def version_of(self, data):
+        index = data.draw(self._INDEX)
         outstanding = self._outstanding()
         if outstanding:
-            rid = self._pick(data, outstanding)
+            rid = outstanding[index % len(outstanding)]
             assert self.engine.version_of(rid) in (1, 2)
 
     @rule()

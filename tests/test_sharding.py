@@ -255,6 +255,36 @@ class TestFleetSubmitBatch:
         assert results[0] == results[1]
         assert results[0][1] == 64
 
+    def test_stamped_batch_matches_stamped_submits(self, rows):
+        """Stamped rows arrive one at a time on the fleet's clock."""
+        stamps = np.cumsum(np.full(40, 0.0015))
+        results = []
+        for use_batch in (False, True):
+            clock = ManualClock()
+            fleet = ShardedScoringEngine(
+                make_registry(), n_shards=2, batch_size=8,
+                max_latency_ms=5.0, clock=clock,
+            )
+            if use_batch:
+                ids = fleet.submit_batch(rows[:40], stamps=stamps)
+            else:
+                ids = []
+                for row, stamp in zip(rows[:40], stamps):
+                    clock.advance_to(stamp)
+                    ids.append(fleet.submit(row))
+            fleet.flush()
+            results.append(
+                (list(ids), [fleet.take(rid) for rid in ids], sorted(fleet.latencies), clock.now())
+            )
+            fleet.close()
+        assert results[0] == results[1]
+
+    def test_stamps_need_a_manual_clock(self, rows):
+        fleet = ShardedScoringEngine(make_registry(), n_shards=2)
+        with pytest.raises(ValueError, match="ManualClock"):
+            fleet.submit_batch(rows[:2], stamps=[0.0, 1.0])
+        fleet.close()
+
     def test_validation_and_empty(self):
         fleet = ShardedScoringEngine(make_registry(), n_shards=2)
         with pytest.raises(ValueError, match="2-D"):
@@ -751,6 +781,29 @@ class TestFleetEndToEnd:
         assert result.spend < budget  # strict: fleet never exhausts B
         assert result.spend == pytest.approx(pacer.spent)
         assert pacer.n_seen == 3000
+        fleet.close()
+
+    def test_clocked_traffic_replay_over_fleet(self, probe_weights):
+        """Arrivals spaced on the fleet's clock: every one is decided
+        once, and every scored one within the flush deadline."""
+        from repro.ab.platform import Platform
+        from repro.serving import TrafficReplay
+
+        clock = ManualClock()
+        fleet = ShardedScoringEngine(
+            LinearROI(probe_weights), n_shards=2, batch_size=16, cache_size=0,
+            max_latency_ms=5.0, clock=clock,
+        )
+        platform = Platform(dataset="criteo", random_state=2)
+        replay = TrafficReplay(platform, fleet, interarrival_s=0.001)
+        result = replay.replay_day(600, budget_fraction=0.3)
+        assert result.n_events == 600
+        assert result.engine_stats["requests"] == 600
+        assert result.treated.shape == (600,)
+        assert result.spend <= result.budget + 1e-9
+        assert len(result.latencies) == 600
+        assert result.latencies.max() <= 0.005 + 1e-9
+        assert clock.now() == pytest.approx(600 * 0.001, rel=1e-6)
         fleet.close()
 
     def test_promoter_campaign_on_fleet(self, probe_weights):
